@@ -82,15 +82,6 @@ def test_bench_world_step_ragdoll(benchmark):
     benchmark(step)
 
 
-def test_bench_particle_step(benchmark):
-    from repro.particles import ParticleSystem
-
-    ps = ParticleSystem(capacity=5000, ground_height=0.0)
-    ps.emit_burst(Vec3(0, 3, 0), 5000, speed=5.0, lifetime=100.0)
-    stats = benchmark(ps.step, 0.01, Vec3(0, -9.81, 0))
-    assert stats["particles"] == 5000
-
-
 def test_bench_raycast_world(benchmark):
     import random
 

@@ -18,8 +18,8 @@ from repro.arch import (
     ParallaxConfig,
     ParallaxMachine,
 )
+from repro.api import SessionSpec, run_scenario
 from repro.arch.area import fg_pool_area
-from repro.workloads import run_benchmark
 
 MB = 1024 * 1024
 
@@ -36,8 +36,9 @@ def main():
     args = parser.parse_args()
 
     print(f"simulating '{args.benchmark}' at scale {args.scale} ...")
-    run = run_benchmark(
-        args.benchmark, scale=args.scale, frames=5, measure_from=3
+    run = run_scenario(
+        SessionSpec(args.benchmark, scale=args.scale), frames=5,
+        measure_from=3
     )
     report = run.measured
 

@@ -15,8 +15,9 @@ have rolled back.
 
 import argparse
 
+from repro.api import SessionSpec, run_scenario
 from repro.resilience import FaultSchedule
-from repro.workloads import run_benchmark, validate_world
+from repro.workloads import validate_world
 
 
 def main():
@@ -41,9 +42,9 @@ def main():
                                         count=args.fault_count)
         print(f"fault schedule: {list(schedule)}")
 
-    run = run_benchmark(args.benchmark, scale=args.scale,
-                        frames=args.frames, seed=args.seed,
-                        watchdog=args.watchdog, fault_schedule=schedule)
+    spec = SessionSpec(args.benchmark, scale=args.scale, seed=args.seed,
+                       watchdog=args.watchdog, faults=schedule)
+    run = run_scenario(spec, frames=args.frames)
 
     if run.injector is not None:
         print(f"injected: {run.injector.injected}")

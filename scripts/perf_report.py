@@ -80,7 +80,6 @@ def engine_microbench():
     from repro.engine import World
     from repro.geometry import Box, Plane, Sphere
     from repro.math3d import Vec3
-    from repro.particles import ParticleSystem
 
     out = {}
 
@@ -114,20 +113,16 @@ def engine_microbench():
     cloth = Cloth(25, 25, 0.1, Vec3(0, 3, 0), pin_top_row=True)
     out["cloth_step_625v"] = _time(cloth.step, 0.01, Vec3(0, -9.81, 0))
 
-    ps = ParticleSystem(capacity=5000, ground_height=0.0)
-    ps.emit_burst(Vec3(0, 3, 0), 5000, speed=5.0, lifetime=100.0)
-    out["particles_step_5000"] = _time(ps.step, 0.01, Vec3(0, -9.81, 0))
     return out
 
 
 def modeled_phases(scale, frames):
     from repro.arch import L2Partitioning, ParallaxConfig, ParallaxMachine
     from repro.profiling.report import PHASES
-    from repro.workloads import run_benchmark
+    from repro.api import SessionSpec, run_scenario
 
     t0 = time.perf_counter()
-    run = run_benchmark("mix", scale=scale, frames=frames,
-                        measure_from=max(0, frames - 2), seed=0)
+    run = run_scenario(SessionSpec("mix", scale=scale), frames=frames)
     sim_seconds = time.perf_counter() - t0
 
     machine = ParallaxMachine(

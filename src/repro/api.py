@@ -1,23 +1,19 @@
 """repro.api: the session-first public API.
 
-One spec, one session, one way in. Historically the repo grew three
-overlapping entrypoints — ``World(gravity=, dt=, ...)`` kwargs vs
-``World(config=WorldConfig)``, the ``run_benchmark(...)`` harness, and
-hand-rolled ``BatchWorld([...])`` fleets. This module consolidates them:
+One spec, one session, one way in:
 
 * :class:`SessionSpec` — a JSON-serializable description of a
   simulation (scenario name, config overrides, backend, watchdog and
   fault policy). Because it is JSON-native it doubles as the
   ``repro.serve`` wire format.
 * :class:`Session` — ``Session.create(spec)`` builds the world and its
-  driver, ``session.step(n)`` advances rendered frames with exactly the
-  semantics of the old ``run_benchmark`` loop (bit-identical
-  trajectories), ``session.checkpoint()`` / ``Session.restore(payload)``
-  round-trip the full state through JSON — the live-migration primitive.
+  driver, ``session.step(n)`` advances rendered frames,
+  ``session.checkpoint()`` / ``Session.restore(payload)`` round-trip
+  the full state through JSON — the live-migration primitive.
 * :class:`SessionGroup` — a dynamic fleet of sessions stepped through
   one packed :class:`~repro.fastpath.BatchWorld` solve.
-* :func:`run_scenario` — the harness entrypoint ``run_benchmark`` now
-  delegates to (with a :class:`DeprecationWarning`).
+* :func:`run_scenario` — the harness entrypoint: run a spec for some
+  frames and wrap the result as a ``BenchmarkRun``.
 
 Sessions default to **uid isolation**: each session's world draws body
 and geom uids from a private counter starting at zero, so an identical
@@ -30,11 +26,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import warnings
 
 from .collision import Geom
 from .dynamics import Body
-from .engine import World, WorldConfig
+from .engine import WorldConfig
 from .fastpath import default_backend, resolve_backend
 from .profiling import FrameReport
 
@@ -182,20 +177,15 @@ def _apply_config_overrides(world, overrides):
     """Mutate ``world.config`` per the spec, pre-first-step.
 
     Scenario builders own world *construction*; the spec owns the
-    tunables. A broadphase override swaps the (still empty of sweep
-    state) broadphase instance, honoring the numpy fast path.
+    tunables. A broadphase override swaps in a fresh instance (the old
+    one holds no sweep state yet) made by the world's kernel set.
     """
     if not overrides:
         return
-    config = world.config.replace(**overrides)
-    world.config = config
+    world.config = world.config.replace(**overrides)
     if "broadphase" in overrides:
-        from .collision import BROADPHASES
-        from .fastpath.broadphase import VectorSweepAndPrune
-        if world.backend == "numpy" and config.broadphase == "sap":
-            world.broadphase = VectorSweepAndPrune()
-        else:
-            world.broadphase = BROADPHASES[config.broadphase]()
+        world.broadphase = world.kernels.make_broadphase(
+            world.config.broadphase)
 
 
 class Session:
@@ -223,8 +213,8 @@ class Session:
         """Build the scenario named by ``spec`` and wire its policies.
 
         ``isolate_uids=False`` draws uids from the process-global
-        counters (the pre-session behavior ``run_scenario`` preserves
-        for the legacy harness); such a session can still checkpoint,
+        counters (the behavior ``run_scenario`` keeps so recorded
+        trajectories are unchanged); such a session can still checkpoint,
         because the payload records the uid base the build started from.
         """
         spec = spec.resolved()
@@ -317,11 +307,7 @@ class Session:
         return self._scope.installed()
 
     def step(self, frames: int = 1):
-        """Advance ``frames`` rendered frames; returns their reports.
-
-        The loop body is the old ``run_benchmark`` loop verbatim, so a
-        session's trajectory is bit-identical to the legacy harness.
-        """
+        """Advance ``frames`` rendered frames; returns their reports."""
         if self._closed:
             raise RuntimeError("session is closed")
         new_reports = []
@@ -434,9 +420,11 @@ class SessionGroup:
         return iter(self.sessions)
 
     def add(self, session: Session) -> Session:
-        self.sessions.append(session)
+        if session in self.sessions:
+            raise ValueError("session already in group")
         if session._guard is None:
             self._batch.add_world(session.world)
+        self.sessions.append(session)
         return session
 
     def remove(self, session: Session) -> Session:
@@ -476,11 +464,11 @@ class SessionGroup:
 def run_scenario(spec, frames: int = 5, measure_from: int = None):
     """Run a spec to completion and wrap it as a ``BenchmarkRun``.
 
-    The session-first replacement for ``run_benchmark``: same loop, same
-    measurement windowing, same return type — but driven by a
-    :class:`SessionSpec`, so the watchdog/fault/backend policies travel
-    as data. Uses the process-global uid counters (like the legacy
-    harness) so recorded trajectories are unchanged.
+    Driven by a :class:`SessionSpec`, so the watchdog/fault/backend
+    policies travel as data. The mean of the frames from
+    ``measure_from`` on (default: the last two) is the run's measured
+    frame. Uses the process-global uid counters so recorded
+    trajectories are unchanged.
     """
     from .workloads.benchmarks import BenchmarkRun
     if measure_from is None:

@@ -11,28 +11,19 @@ counts into ``world.report``; ``step_frame()`` bundles the paper's
 
 from __future__ import annotations
 
-import warnings
-
-from ..collision import BROADPHASES, Geom, collide
-from ..collision import ccd as ccd_mod
-from ..dynamics import ContactJoint, build_islands, solve_island
+from ..collision import Geom
+from ..dynamics import ContactJoint, build_islands
+from ..fastpath import kernels as numpy_kernels
 from ..fastpath import resolve_backend
-from ..fastpath import bodies as fp_bodies
-from ..fastpath import cloth as fp_cloth
-from ..fastpath import joints as fp_joints
-from ..fastpath import narrowphase as fp_narrowphase
-from ..fastpath import rows as fp_rows
-from ..fastpath import solver as fp_solver
-from ..fastpath.broadphase import VectorSweepAndPrune
 from ..geometry import Shape
 from ..math3d import Transform, Vec3
-from ..profiling import (
-    FrameReport,
-    task_cost_cloth,
-    task_cost_island,
-    task_cost_narrowphase,
-)
+from ..profiling import FrameReport, task_cost_cloth, task_cost_island
+from . import scalar as scalar_kernels
 from .explosions import Explosion, PrefracturedBody
+
+# One kernel set per name in ``fastpath.BACKENDS``: the same phase
+# functions, per-object (the oracle) or struct-of-arrays.
+_KERNELS = {"scalar": scalar_kernels, "numpy": numpy_kernels}
 
 
 class WorldConfig:
@@ -50,7 +41,9 @@ class WorldConfig:
                  max_contacts_per_pair: int = 4,
                  world_bounds: float = 500.0,
                  ccd: bool = True):
-        self.gravity = gravity if gravity is not None else Vec3(0, -9.81, 0)
+        # Any 3-sequence is accepted; the kernels read a Vec3.
+        self.gravity = (Vec3(*gravity) if gravity is not None
+                        else Vec3(0, -9.81, 0))
         self.dt = dt
         self.substeps_per_frame = substeps_per_frame
         self.solver_iterations = solver_iterations
@@ -71,20 +64,12 @@ class WorldConfig:
     def to_dict(self) -> dict:
         """JSON-native form (gravity as ``[x, y, z]``); the config half
         of the :class:`repro.api.SessionSpec` wire format."""
-        g = self.gravity
         out = {name: getattr(self, name) for name in self.field_names()}
-        if isinstance(g, Vec3):
-            out["gravity"] = [g.x, g.y, g.z]
-        else:  # tuples are accepted wherever Vec3 is
-            out["gravity"] = [float(c) for c in g]
+        out["gravity"] = list(self.gravity)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorldConfig":
-        data = dict(data)
-        gravity = data.pop("gravity", None)
-        if gravity is not None:
-            data["gravity"] = Vec3(*gravity)
         return cls(**data)
 
     def replace(self, **overrides) -> "WorldConfig":
@@ -96,10 +81,7 @@ class WorldConfig:
             raise TypeError(
                 f"unknown WorldConfig fields: {sorted(unknown)}")
         data.update(overrides)
-        if isinstance(data["gravity"], Vec3):
-            g = data["gravity"]
-            data["gravity"] = [g.x, g.y, g.z]
-        return WorldConfig.from_dict(data)
+        return WorldConfig(**data)
 
     @staticmethod
     def field_names() -> tuple:
@@ -111,43 +93,25 @@ class WorldConfig:
 
 
 class World:
-    def __init__(self, config: WorldConfig = None, backend: str = None,
-                 **legacy_tunables):
-        if legacy_tunables:
-            # Pre-session API: ``World(gravity=..., dt=...)`` built the
-            # config implicitly. Kept as a shim for one release; pass
-            # ``config=WorldConfig(...)`` or use ``repro.api.Session``.
-            unknown = (set(legacy_tunables)
-                       - set(WorldConfig.field_names()))
-            if unknown:
-                raise TypeError(
-                    f"unknown World tunables: {sorted(unknown)}")
-            if config is not None:
-                raise TypeError(
-                    "pass tunables via config=WorldConfig(...), not "
-                    "alongside config=")
-            warnings.warn(
-                "World(**tunables) is deprecated and will be removed in "
-                "the next release; pass config=WorldConfig(...) or use "
-                "repro.api.Session.create(SessionSpec(...))",
-                DeprecationWarning, stacklevel=2)
-            config = WorldConfig(**legacy_tunables)
+    def __init__(self, config: WorldConfig = None, backend: str = None):
         # pax: ignore[PAX201]: construction-time tunables; a snapshot
         # only restores into the same (or identically built) scene.
         self.config = config if config is not None else WorldConfig()
-        # ``backend`` picks the engine kernels: ``"scalar"`` runs the
-        # reference per-object code below, ``"numpy"`` swaps in the
-        # bit-identical SoA kernels from ``repro.fastpath``.  ``None``
-        # defers to ``fastpath.default_backend()`` / $REPRO_BACKEND.
+        # ``backend`` names the kernel set every phase of ``step`` runs
+        # on: ``"scalar"`` is the per-object reference in
+        # ``engine.scalar``, ``"numpy"`` the bit-identical SoA kernels
+        # of ``repro.fastpath``.  ``None`` defers to
+        # ``fastpath.default_backend()`` / $REPRO_BACKEND.
         # pax: ignore[PAX201]: structural choice fixed at construction;
         # both backends replay snapshots bit-identically by contract.
         self.backend = resolve_backend(backend)
-        if self.backend == "numpy" and self.config.broadphase == "sap":
-            # pax: ignore[PAX201]: sort order re-converges from geom
-            # AABBs in one sweep; proven by the restore replay tests.
-            self.broadphase = VectorSweepAndPrune()
-        else:
-            self.broadphase = BROADPHASES[self.config.broadphase]()
+        # pax: ignore[PAX201]: construction-time structure, derived
+        # from ``backend`` above and never rebound.
+        self.kernels = _KERNELS[self.backend]
+        # pax: ignore[PAX201]: sort order re-converges from geom
+        # AABBs in one sweep; proven by the restore replay tests.
+        self.broadphase = self.kernels.make_broadphase(
+            self.config.broadphase)
         self.bodies = []
         self.geoms = []
         self.joints = []
@@ -297,30 +261,52 @@ class World:
     def step(self):
         """Advance one ``dt`` sub-step through the five-phase pipeline.
 
-        The step is split into three stages so :class:`BatchWorld` can
-        interleave many worlds: ``_begin_step`` (pre-phase through
-        constraint-row setup), a solve over the prepared islands, and
-        ``_finish_islands`` + ``_finish_step`` (integration, cloth,
-        clocks).  Stage boundaries only hoist work across *disjoint*
-        islands, so the trajectory is bit-identical to the original
-        single-loop formulation.
+        Three stages, so :class:`~repro.fastpath.BatchWorld` can run
+        the same calls over many worlds around one packed solve:
+        ``_prepare_step`` (pre-phase through constraint-row setup), the
+        kernel set's ``solve`` over every island's rows, ``_finish_step``
+        (integration, cloth, clocks).  Stage boundaries only hoist work
+        across *disjoint* islands, so the trajectory is bit-identical
+        to solving and integrating island by island.
         """
-        ctx = self._begin_step()
-        stats_list = self._solve_prepared(ctx)
-        self._finish_islands(ctx, stats_list)
-        self._finish_step(ctx)
+        islands, islands_rows, live_geoms = self._prepare_step()
+        stats_list = self.kernels.solve(islands_rows,
+                                        self.config.solver_iterations)
+        self._finish_step(islands, stats_list, live_geoms)
 
-    def _begin_step(self):
+    def _prepare_step(self):
+        """Phases 1-4a.  Returns the islands to solve, their constraint
+        rows (one list per island) and the step's enabled geoms."""
         cfg = self.config
         if self.report is None:
             self.report = FrameReport(self.frame_index)
         report = self.report
         report.steps += 1
-        dt = cfg.dt
+        self._apply_explosions()
+        live_geoms = [g for g in self.geoms if g.enabled]
+        pairs = self._broadphase_pairs(live_geoms)
+        contacts = self.kernels.collide(self, pairs, report)
+        islands = self._create_islands(contacts)
 
-        # Pre-phase: explosions push bodies and trigger prefracture.
-        # Spent blasts and triggered prefracture entries are pruned so
-        # long runs don't scan an ever-growing list of dead events.
+        # Phase 4a: forces + constraint-row setup.  Islands are
+        # body-disjoint, so building every island's rows (including
+        # warm-start impulses, which only touch the island's own
+        # bodies) before any island solves reads exactly the state an
+        # island-by-island loop would read.
+        self.kernels.apply_forces(self, cfg.dt)
+        live_islands = []
+        for island in islands:
+            if cfg.auto_sleep and self._island_asleep(island):
+                report.count("island_processing", skipped_islands=1)
+                continue
+            live_islands.append(island)
+        islands_rows = self.kernels.build_rows(self, live_islands, cfg.dt)
+        return live_islands, islands_rows, live_geoms
+
+    def _apply_explosions(self):
+        """Pre-phase: explosions push bodies and trigger prefracture.
+        Spent blasts and triggered prefracture entries are pruned so
+        long runs don't scan an ever-growing list of dead events."""
         self.last_blast_bodies = 0
         if self.explosions:
             alive = []
@@ -334,8 +320,9 @@ class World:
             self.prefractured = [pf for pf in self.prefractured
                                  if not pf.broken]
 
-        # Phase 1: broadphase.
-        live_geoms = [g for g in self.geoms if g.enabled]
+    def _broadphase_pairs(self, live_geoms):
+        """Phase 1: candidate geom pairs."""
+        report = self.report
         pairs = self.broadphase.pairs(live_geoms)
         report.count(
             "broadphase",
@@ -352,48 +339,11 @@ class World:
             sweep_order = [g.uid for g in live_geoms]
         report.touch("broadphase", "geom", sweep_order)
         report.touch("broadphase", "endpoint", sweep_order)
+        return pairs
 
-        # Phase 2: narrowphase.
-        if self.backend == "numpy":
-            contacts = fp_narrowphase.collide_pairs(self, pairs, report)
-        else:
-            contacts = []
-            self._contacted_bodies = set()
-            self.last_max_penetration = 0.0
-            self.last_penetration_uids = ()
-            np_geom_ids = []
-            np_body_ids = []
-            for ga, gb in pairs:
-                if self._pair_filtered(ga, gb):
-                    continue
-                np_geom_ids.extend((ga.uid, gb.uid))
-                for g in (ga, gb):
-                    if g.body is not None:
-                        np_body_ids.append(g.body.uid)
-                found = collide(ga, gb)
-                if len(found) > cfg.max_contacts_per_pair:
-                    found = sorted(found, key=lambda c: -c.depth)
-                    found = found[:cfg.max_contacts_per_pair]
-                report.count("narrowphase", tests=1, contacts=len(found))
-                report.add_task("narrowphase",
-                                task_cost_narrowphase(len(found)))
-                if found:
-                    for body in (ga.body, gb.body):
-                        if body is not None:
-                            self._contacted_bodies.add(body.uid)
-                    for c in found:
-                        if c.depth > self.last_max_penetration:
-                            self.last_max_penetration = c.depth
-                            self.last_penetration_uids = tuple(
-                                g.body.uid for g in (ga, gb)
-                                if g.body is not None)
-                    contacts.extend(found)
-            report.touch("narrowphase", "geom", np_geom_ids)
-            report.touch("narrowphase", "body", np_body_ids)
-            report.touch("narrowphase", "contact", range(len(contacts)),
-                         writes=True)
-
-        # Phase 3: island creation.
+    def _create_islands(self, contacts):
+        """Phase 3: islands over the contact and joint graph."""
+        report = self.report
         contact_joints = [
             ContactJoint(c) for c in contacts
             if self._contact_is_dynamic(c)
@@ -420,90 +370,25 @@ class World:
         report.touch("island_creation", "contact",
                      range(len(contacts)))
         report.touch("island_creation", "joint", active_joint_ids)
+        return islands
 
-        # Phase 4a: forces + constraint-row setup.  Islands are
-        # body-disjoint, so building every island's rows (including
-        # warm-start impulses, which only touch the island's own
-        # bodies) before any island solves reads exactly the state the
-        # original interleaved loop read.
-        if self.backend == "numpy":
-            fp_bodies.apply_forces(self, dt)
-        else:
-            self._apply_forces(dt)
-        erp = cfg.erp
-        cache = self._impulse_cache
-        prepared = []
-        live_islands = []
-        for island in islands:
-            if cfg.auto_sleep and self._island_asleep(island):
-                report.count("island_processing", skipped_islands=1)
-                continue
-            live_islands.append(island)
-        if self.backend == "numpy":
-            # Contacts batch across islands in island order; warm
-            # starts (island-local velocity nudges) interleave in the
-            # same global sequence the scalar loop produces.  Joints
-            # only read positions / own-island velocities, so building
-            # them afterwards reads identical state.
-            all_cjs = [cj for isl in live_islands
-                       for cj in isl.contact_joints]
-            built = fp_rows.build_contact_rows(
-                all_cjs, dt, erp, cache if cfg.warm_starting else None)
-            all_joints = [j for isl in live_islands for j in isl.joints]
-            jbuilt = fp_joints.build_joint_rows(all_joints, dt, erp)
-            pos = 0
-            jpos = 0
-            for island in live_islands:
-                rows = []
-                for cj in island.contact_joints:
-                    rows.extend(built[pos])
-                    pos += 1
-                for joint in island.joints:
-                    jrows = jbuilt[jpos]
-                    jpos += 1
-                    if jrows is None:
-                        jrows = joint.begin_step(dt, erp)
-                    rows.extend(jrows)
-                prepared.append((island, rows))
-        else:
-            for island in live_islands:
-                rows = []
-                for cj in island.contact_joints:
-                    cj_rows = cj.begin_step(dt, erp)
-                    if cfg.warm_starting:
-                        cached = cache.get(cj.cache_key)
-                        if cached is not None:
-                            cj.normal_row.warm_start(cached[0])
-                            for row, imp in zip(cj.tangent_rows,
-                                                cached[1:]):
-                                row.warm_start(imp)
-                    rows.extend(cj_rows)
-                for joint in island.joints:
-                    rows.extend(joint.begin_step(dt, erp))
-                prepared.append((island, rows))
-        return {"report": report, "dt": dt, "prepared": prepared,
-                "live_geoms": live_geoms}
+    def _finish_step(self, islands, stats_list, live_geoms):
+        """Phases 4c-5 and the clocks, given each island's solve stats."""
+        self._finish_islands(islands, stats_list)
+        self._step_cloths(live_geoms)
+        self.step_index += 1
+        self.time += self.config.dt
 
-    def _solve_prepared(self, ctx):
-        """Phase 4b: solve every prepared island's rows."""
-        iterations = self.config.solver_iterations
-        if self.backend == "numpy":
-            return fp_solver.solve_islands(
-                [rows for _, rows in ctx["prepared"]], iterations)
-        return [solve_island(rows, iterations)
-                for _, rows in ctx["prepared"]]
-
-    def _finish_islands(self, ctx, stats_list):
+    def _finish_islands(self, islands, stats_list):
         """Phase 4c: joint end-step, impulse cache, integration."""
         cfg = self.config
-        report = ctx["report"]
-        dt = ctx["dt"]
-        use_fp = self.backend == "numpy"
+        report = self.report
+        dt = cfg.dt
         new_cache = {}
         self.last_island_residuals = []
         self.last_solver_residual = 0.0
         row_base = 0
-        for (island, _rows), stats in zip(ctx["prepared"], stats_list):
+        for island, stats in zip(islands, stats_list):
             self.last_island_residuals.append(
                 (stats.residual, [b.uid for b in island.bodies]))
             if stats.residual > self.last_solver_residual:
@@ -514,10 +399,7 @@ class World:
                 new_cache[cj.cache_key] = (
                     cj.normal_row.impulse,
                 ) + tuple(r.impulse for r in cj.tangent_rows)
-            if use_fp:
-                fp_bodies.integrate(self, island.bodies, dt)
-            else:
-                self._integrate(island.bodies, dt)
+            self.kernels.integrate(self, island.bodies, dt)
             report.count(
                 "island_processing",
                 rows=stats.rows,
@@ -540,49 +422,36 @@ class World:
                 self._update_sleep(island, dt)
         self._impulse_cache = new_cache
 
-    def _finish_step(self, ctx):
-        cfg = self.config
-        report = ctx["report"]
-        dt = ctx["dt"]
-        live_geoms = ctx["live_geoms"]
-
-        # Phase 5: cloth.
-        if self.cloths:
-            cloth_colliders = [
-                g for g in live_geoms
-                if g.shape.kind in ("sphere", "box")
-            ]
-            use_fp = self.backend == "numpy"
-            bounds = (fp_cloth.collider_bounds(cloth_colliders)
-                      if use_fp and cloth_colliders else None)
-            vert_base = 0
-            for cloth in self.cloths:
-                if use_fp:
-                    stats = fp_cloth.step_cloth(cloth, dt, cfg.gravity,
-                                                cloth_colliders, bounds)
-                else:
-                    stats = cloth.step(dt, cfg.gravity, cloth_colliders)
-                report.touch("cloth", "clothvert",
-                             range(vert_base,
-                                   vert_base + cloth.num_vertices),
-                             repeat=cloth.ITERATIONS, writes=True)
-                vert_base += cloth.num_vertices
-                report.count(
-                    "cloth",
-                    cloths=1,
-                    vertices=stats["vertices"],
-                    constraint_updates=stats["constraint_updates"],
-                    projections=stats["projections"],
-                    contacts=stats["contacts"],
-                )
-                report.add_task("cloth", task_cost_cloth(
-                    stats["vertices"], stats["constraint_updates"],
-                    stats["projections"]))
-        else:
+    def _step_cloths(self, live_geoms):
+        """Phase 5: cloth."""
+        report = self.report
+        if not self.cloths:
             report.count("cloth", cloths=0)
-
-        self.step_index += 1
-        self.time += dt
+            return
+        cloth_colliders = [
+            g for g in live_geoms
+            if g.shape.kind in ("sphere", "box")
+        ]
+        all_stats = self.kernels.step_cloths(self, cloth_colliders,
+                                             self.config.dt)
+        vert_base = 0
+        for cloth, stats in zip(self.cloths, all_stats):
+            report.touch("cloth", "clothvert",
+                         range(vert_base,
+                               vert_base + cloth.num_vertices),
+                         repeat=cloth.ITERATIONS, writes=True)
+            vert_base += cloth.num_vertices
+            report.count(
+                "cloth",
+                cloths=1,
+                vertices=stats["vertices"],
+                constraint_updates=stats["constraint_updates"],
+                projections=stats["projections"],
+                contacts=stats["contacts"],
+            )
+            report.add_task("cloth", task_cost_cloth(
+                stats["vertices"], stats["constraint_updates"],
+                stats["projections"]))
 
     # -- internals ------------------------------------------------------
     @staticmethod
@@ -598,64 +467,6 @@ class World:
             if body is not None and not body.is_static and body.enabled:
                 return True
         return False
-
-    def _apply_forces(self, dt: float):
-        g = self.config.gravity
-        lin_k = max(0.0, 1.0 - self.config.linear_damping * dt)
-        ang_k = max(0.0, 1.0 - self.config.angular_damping * dt)
-        for body in self.bodies:
-            if body.is_static or not body.enabled:
-                continue
-            body.refresh_world_inertia()
-            if body.sleeping:
-                body.clear_accumulators()
-                continue
-            body.linear_velocity = (
-                body.linear_velocity
-                + (g * body.gravity_scale + body.force * body.inv_mass) * dt
-            ) * lin_k
-            body.angular_velocity = (
-                body.angular_velocity
-                + (body.inv_inertia_world * body.torque) * dt
-            ) * ang_k
-            body.clear_accumulators()
-
-    def _integrate(self, bodies, dt: float):
-        bounds = self.config.world_bounds
-        # ``config.ccd=False`` ablates the swept test entirely; the
-        # module threshold stays the tuning knob when it is on.
-        ccd_threshold = (ccd_mod.CCD_MOTION_THRESHOLD
-                         if self.config.ccd else float("inf"))
-        for body in bodies:
-            if body.sleeping:
-                continue
-            motion = body.linear_velocity * dt
-            if motion.length() > ccd_threshold:
-                # Continuous collision: sweep fast movers so bullets
-                # can't tunnel through thin structures in one sub-step.
-                # Velocity is kept — the contact solver resolves the
-                # impact next step from the clamped position.
-                clamped = ccd_mod.sweep_clamp(self, body, motion)
-                if clamped is not None:
-                    body.position = clamped
-                    body.orientation = body.orientation.integrated(
-                        body.angular_velocity, dt)
-                    body._inv_inertia_world = None
-                    if self.report is not None:
-                        self.report.count("narrowphase", ccd_clamps=1)
-                    continue
-            body.position = body.position + body.linear_velocity * dt
-            body.orientation = body.orientation.integrated(
-                body.angular_velocity, dt)
-            body._inv_inertia_world = None
-            # Kill-bounds cull: stray projectiles and blasted debris
-            # that leave the arena stop simulating (and stop inflating
-            # broadphase extents) instead of travelling forever.
-            p = body.position
-            if (abs(p.x) > bounds or abs(p.y) > bounds
-                    or abs(p.z) > bounds):
-                body.enabled = False
-                self.culled += 1
 
     def _island_asleep(self, island) -> bool:
         return all(b.sleeping for b in island.bodies)

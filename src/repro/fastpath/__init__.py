@@ -3,10 +3,10 @@
 ``repro.fastpath`` vectorizes the four profiled hot loops — the SAP
 interval sweep, the sphere/box narrowphase pair tests, PGS row
 iteration, and Jakobsen cloth relaxation — behind the existing APIs.
-A world opts in per instance::
+A world binds one kernel set at construction::
 
-    World(backend="numpy")     # SoA kernels
-    World(backend="scalar")    # the verbatim oracle path (default)
+    World(backend="numpy")     # repro.fastpath.kernels (SoA)
+    World(backend="scalar")    # repro.engine.scalar, the oracle (default)
 
 Backend resolution, in priority order:
 
@@ -39,8 +39,8 @@ SCALAR_COUNTERPARTS = {
     "batch.BatchWorld.step": "repro.engine.world.World.step",
     "batch.BatchWorld.step_frame":
         "repro.engine.world.World.step_frame",
-    "bodies.apply_forces": "repro.engine.world.World._apply_forces",
-    "bodies.integrate": "repro.engine.world.World._integrate",
+    "bodies.apply_forces": "repro.engine.scalar.apply_forces",
+    "bodies.integrate": "repro.engine.scalar.integrate",
     "broadphase.VectorSweepAndPrune.pairs":
         "repro.collision.broadphase.SweepAndPrune.pairs",
     "broadphase.fill_aabbs": "repro.collision.geom.Geom.aabb",
@@ -48,8 +48,14 @@ SCALAR_COUNTERPARTS = {
     "cloth.step_cloth": "repro.cloth.Cloth.step",
     "joints.build_joint_rows":
         "repro.dynamics.joints.Joint.begin_step",
-    "narrowphase.collide_pairs":
-        "repro.collision.narrowphase.collide",
+    "kernels.apply_forces": "repro.engine.scalar.apply_forces",
+    "kernels.build_rows": "repro.engine.scalar.build_rows",
+    "kernels.collide": "repro.engine.scalar.collide",
+    "kernels.integrate": "repro.engine.scalar.integrate",
+    "kernels.make_broadphase": "repro.engine.scalar.make_broadphase",
+    "kernels.solve": "repro.engine.scalar.solve",
+    "kernels.step_cloths": "repro.engine.scalar.step_cloths",
+    "narrowphase.collide_pairs": "repro.engine.scalar.collide",
     "rows.build_contact_rows":
         "repro.dynamics.joints.ContactJoint.begin_step",
     "solver.solve_island_soa": "repro.dynamics.solver.solve_island",

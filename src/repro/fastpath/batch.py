@@ -5,7 +5,7 @@ lots of small, independent simulations (game instances, rollout
 environments) whose per-world populations are too narrow for wide
 vector units.  ``BatchWorld`` runs each world's pipeline stages in
 lockstep and packs *all* worlds' prepared islands into a single
-:func:`~repro.fastpath.solver.solve_islands` call.  Worlds are disjoint,
+``solve`` call of their shared kernel set.  Worlds are disjoint,
 so the packing changes nothing numerically (each island still sees
 exactly its own rows and bodies) — but the packed batch has N× the
 rows per dependency level, which is what lets the solver's vectorized
@@ -19,15 +19,15 @@ boundaries only hoist work across disjoint worlds, the same argument
 from __future__ import annotations
 
 from ..profiling import FrameReport
-from . import solver as fp_solver
 
 
 class BatchWorld:
     """Steps a fleet of independent worlds with one packed solve.
 
-    The packed solve needs every world on ``backend="numpy"`` and a
-    single shared ``solver_iterations`` value; anything else falls back
-    to stepping the worlds one by one (still correct, just unbatched).
+    The packed solve needs every world on one kernel set (one
+    ``backend``) and a single shared ``solver_iterations`` value;
+    anything else falls back to stepping the worlds one by one (still
+    correct, just unbatched).
     """
 
     def __init__(self, worlds=()):
@@ -60,30 +60,27 @@ class BatchWorld:
         return world
 
     def _batchable(self) -> bool:
-        if not self.worlds:
-            return False
-        iters = {w.config.solver_iterations for w in self.worlds}
-        return (len(iters) == 1
-                and all(w.backend == "numpy" for w in self.worlds))
+        return len({(w.kernels, w.config.solver_iterations)
+                    for w in self.worlds}) == 1
 
     def step(self):
-        """Advance every world one ``dt`` sub-step."""
+        """Advance every world one ``dt`` sub-step: ``World.step``'s
+        three stages over the fleet, around one packed solve."""
         if not self._batchable():
             for w in self.worlds:
                 w.step()
             return
-        ctxs = [w._begin_step() for w in self.worlds]
-        all_rows = []
-        spans = []
-        for ctx in ctxs:
-            start = len(all_rows)
-            all_rows.extend(rows for _, rows in ctx["prepared"])
-            spans.append((start, len(all_rows)))
-        stats = fp_solver.solve_islands(
-            all_rows, self.worlds[0].config.solver_iterations)
-        for w, ctx, (start, end) in zip(self.worlds, ctxs, spans):
-            w._finish_islands(ctx, stats[start:end])
-            w._finish_step(ctx)
+        prepared = [w._prepare_step() for w in self.worlds]
+        lead = self.worlds[0]
+        stats = lead.kernels.solve(
+            [rows for _, islands_rows, _ in prepared
+             for rows in islands_rows],
+            lead.config.solver_iterations)
+        start = 0
+        for w, (islands, _, live_geoms) in zip(self.worlds, prepared):
+            end = start + len(islands)
+            w._finish_step(islands, stats[start:end], live_geoms)
+            start = end
 
     def step_frame(self, drivers=None):
         """One rendered frame for every world; returns their reports.

@@ -22,8 +22,8 @@ from ..collision.narrowphase import (
     Contact,
     collide,
 )
+from ..engine.scalar import narrowphase as run_narrowphase
 from ..math3d import Vec3
-from ..profiling import task_cost_narrowphase
 
 _BATCH_KINDS = {
     ("sphere", "sphere"),
@@ -457,27 +457,10 @@ _BATCH_FN = {
 }
 
 
-def collide_pairs(world, pairs, report):
-    """Phase-2 narrowphase over broadphase pairs (numpy backend).
-
-    Mirrors the scalar loop in ``World.step`` exactly: same pair
-    filtering, same contact order, same report counters, same
-    penetration/contacted-body health signals.
-    """
-    cfg = world.config
+def _test_batched(filtered):
+    """One contact list per pair, in pair order: hot shape-kind groups
+    through the array kernels, the rest through the scalar routines."""
     cache = _Cache()
-
-    filtered = []
-    np_geom_ids = []
-    np_body_ids = []
-    for ga, gb in pairs:
-        if world._pair_filtered(ga, gb):
-            continue
-        np_geom_ids.extend((ga.uid, gb.uid))
-        for g in (ga, gb):
-            if g.body is not None:
-                np_body_ids.append(g.body.uid)
-        filtered.append((ga, gb))
 
     # Group by canonical dispatch kind; remember how to map back.
     plan = [None] * len(filtered)   # (group_key, slot, flipped) or None
@@ -503,46 +486,20 @@ def collide_pairs(world, pairs, report):
         else:
             results[key] = [collide(ga, gb) for ga, gb in items]
 
-    contacts = []
-    world._contacted_bodies = set()
-    world.last_max_penetration = 0.0
-    world.last_penetration_uids = ()
-    # Counters and task costs are accumulated locally and committed in
-    # one bulk call per sweep — integer-valued float sums, so the
-    # totals (and the task lists, appended in pair order) are exactly
-    # what the per-pair calls would have produced.
-    total_contacts = 0
-    task_costs = []
-    for idx, (ga, gb) in enumerate(filtered):
-        p = plan[idx]
-        if p is not None:
+    found_per_pair = []
+    for (ga, gb), p in zip(filtered, plan):
+        if p is None:
+            found = collide(ga, gb)
+        else:
             key, slot, flipped = p
             found = results[key][slot]
             if flipped:
                 found = [c.flipped(ga, gb) for c in found]
-        else:
-            found = collide(ga, gb)
-        if len(found) > cfg.max_contacts_per_pair:
-            found = sorted(found, key=lambda c: -c.depth)
-            found = found[:cfg.max_contacts_per_pair]
-        total_contacts += len(found)
-        task_costs.append(task_cost_narrowphase(len(found)))
-        if found:
-            for body in (ga.body, gb.body):
-                if body is not None:
-                    world._contacted_bodies.add(body.uid)
-            for c in found:
-                if c.depth > world.last_max_penetration:
-                    world.last_max_penetration = c.depth
-                    world.last_penetration_uids = tuple(
-                        g.body.uid for g in (ga, gb)
-                        if g.body is not None)
-            contacts.extend(found)
-    report.count("narrowphase", tests=len(filtered),
-                 contacts=total_contacts)
-    report.add_tasks("narrowphase", task_costs)
-    report.touch("narrowphase", "geom", np_geom_ids)
-    report.touch("narrowphase", "body", np_body_ids)
-    report.touch("narrowphase", "contact", range(len(contacts)),
-                 writes=True)
-    return contacts
+        found_per_pair.append(found)
+    return found_per_pair
+
+
+def collide_pairs(world, pairs, report):
+    """Phase-2 narrowphase over broadphase pairs (numpy backend): the
+    scalar phase's own bookkeeping around the batched pair tests."""
+    return run_narrowphase(world, pairs, report, _test_batched)

@@ -7,7 +7,6 @@ from .benchmarks import (
     BenchmarkRun,
     get_benchmark,
     run_all,
-    run_benchmark,
 )
 from .validation import ValidationReport, validate_world
 
@@ -17,7 +16,6 @@ __all__ = [
     "Benchmark",
     "BenchmarkRun",
     "get_benchmark",
-    "run_benchmark",
     "run_all",
     "ValidationReport",
     "validate_world",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 
 from ..dynamics import Body
 from ..cloth import Cloth
@@ -355,46 +354,11 @@ class BenchmarkRun:
                 f" frames={len(self.reports)})")
 
 
-def _scenario_spec(name: str, scale: float, seed: int, watchdog: bool,
-                   watchdog_config, fault_schedule, backend):
-    """Map the legacy harness arguments onto a SessionSpec."""
-    from ..api import SessionSpec
-    return SessionSpec(
-        name, scale=scale, seed=seed, backend=backend,
-        watchdog=watchdog, watchdog_config=watchdog_config,
-        faults=fault_schedule)
-
-
-def run_benchmark(name: str, scale: float = 1.0, frames: int = 5,
-                  measure_from: int = None, seed: int = 0,
-                  watchdog: bool = False, watchdog_config=None,
-                  fault_schedule=None, backend: str = None) -> BenchmarkRun:
-    """Deprecated: use :func:`repro.api.run_scenario`.
-
-    Thin shim over the session-first API — the run is bit-identical to
-    the historical loop (``Session.step`` preserves it verbatim). Will
-    be removed in the next release; build a
-    :class:`repro.api.SessionSpec` instead: the watchdog, fault and
-    backend policies travel as JSON-serializable data, and the same
-    spec drives ``repro.serve`` sessions.
-    """
-    warnings.warn(
-        "run_benchmark() is deprecated and will be removed in the next "
-        "release; use repro.api.run_scenario(SessionSpec(name, ...)) "
-        "(same loop, same BenchmarkRun result)",
-        DeprecationWarning, stacklevel=2)
-    from ..api import run_scenario
-    spec = _scenario_spec(name, scale, seed, watchdog, watchdog_config,
-                          fault_schedule, backend)
-    return run_scenario(spec, frames=frames, measure_from=measure_from)
-
-
 def run_all(scale: float = 1.0, frames: int = 5, measure_from: int = None,
             seed: int = 0) -> dict:
-    from ..api import run_scenario
+    from ..api import SessionSpec, run_scenario
     return {
-        name: run_scenario(
-            _scenario_spec(name, scale, seed, False, None, None, None),
-            frames=frames, measure_from=measure_from)
+        name: run_scenario(SessionSpec(name, scale=scale, seed=seed),
+                           frames=frames, measure_from=measure_from)
         for name in BENCHMARKS
     }

@@ -1,14 +1,16 @@
 """The session-first public API: SessionSpec, Session, SessionGroup,
-the legacy deprecation shims, and dynamic BatchWorld membership."""
+the one way to construct a World, and dynamic BatchWorld membership."""
 
 import json
 import warnings
 
 import pytest
 
-from repro.api import Session, SessionGroup, SessionSpec, run_scenario
+from repro.api import Session, SessionGroup, SessionSpec
+from repro.dynamics import Body
 from repro.engine import World, WorldConfig
-from repro.workloads import run_benchmark
+from repro.geometry import Sphere
+from repro.math3d import Vec3
 
 
 def spec(name="periodic", **kw):
@@ -37,13 +39,8 @@ class TestSessionSpec:
 
 
 class TestDeprecationShims:
-    def test_world_kwargs_warn_but_apply(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"World\(\*\*tunables\) is "
-                                r"deprecated"):
-            world = World(gravity=(0.0, -3.0, 0.0), dt=0.002)
-        assert world.config.gravity == (0.0, -3.0, 0.0)
-        assert world.config.dt == 0.002
+    """The ``World(**tunables)`` shim is gone: tunables outside
+    ``config=`` are ordinary unexpected keyword arguments."""
 
     def test_world_kwargs_alongside_config_rejected(self):
         with pytest.raises(TypeError):
@@ -53,20 +50,20 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             World(gravityy=(0.0, 0.0, 0.0))
 
-    def test_run_benchmark_warns_and_matches_run_scenario(self):
-        with pytest.warns(DeprecationWarning,
-                          match="run_benchmark.. is deprecated"):
-            legacy = run_benchmark("periodic", frames=3, scale=0.05,
-                                   backend="numpy")
-        modern = run_scenario(spec(), frames=3)
-        assert legacy.total_instructions() == \
-            modern.total_instructions()
-        assert len(legacy.reports) == len(modern.reports)
-
     def test_config_path_does_not_warn(self):
+        """``config=`` is the one way in; a tuple gravity is normalised
+        once, so both kernel sets can step it."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            World(config=WorldConfig(dt=0.004))
+            for backend in ("scalar", "numpy"):
+                world = World(config=WorldConfig(dt=0.004,
+                                                 gravity=(0, -3, 0)),
+                              backend=backend)
+                ball = Body(position=Vec3(0, 1, 0))
+                world.attach(ball, Sphere(0.5))
+                world.step_frame()
+                assert world.config.gravity == Vec3(0, -3, 0)
+                assert ball.linear_velocity.y < 0
 
 
 class TestSession:
@@ -130,6 +127,18 @@ class TestSessionGroup:
         batch = BatchWorld([session.world])
         with pytest.raises(ValueError):
             batch.add_world(session.world)
+
+    def test_group_rejects_duplicate_membership_unchanged(self):
+        """A refused ``add`` leaves the group as it was: one entry per
+        session, so one frame per ``step(1)`` — batched or guarded."""
+        for session in (Session.create(spec()),
+                        Session.create(spec(watchdog=True))):
+            group = SessionGroup([session])
+            with pytest.raises(ValueError):
+                group.add(session)
+            assert len(group) == 1
+            group.step(1)
+            assert session.frame_index == 1
 
     def test_guarded_session_steps_solo_but_identically(self):
         guarded = Session.create(spec(watchdog=True))

@@ -1,7 +1,12 @@
 """World pipeline, frame reports, breakable joints, prefracture."""
 
-from repro.engine import World, WorldConfig
+import importlib
+import inspect
+
+from repro.api import Session, SessionGroup, SessionSpec
+from repro.engine import World, WorldConfig, scalar
 from repro.dynamics import Body, FixedJoint
+from repro.fastpath import kernels as numpy_kernels
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Vec3
 from repro.profiling import PARALLEL_PHASES, PHASES
@@ -141,3 +146,67 @@ class TestPrefracture:
         assert all(p.enabled for p in pieces)
         world.step()  # debris simulates without blowing up
         assert all(p.is_finite() for p in pieces)
+
+
+# Every entry point bench/layers.py::ENGINE_ENTRY_POINTS times from
+# outside, on the object its caller resolves it on.
+STAGE_SEAMS = (
+    ("repro.engine.world", "World.step"),
+    ("repro.engine.world", "build_islands"),
+    ("repro.fastpath.batch", "BatchWorld.step_frame"),
+    ("repro.fastpath.broadphase", "VectorSweepAndPrune.pairs"),
+    ("repro.fastpath.narrowphase", "collide_pairs"),
+    ("repro.fastpath.rows", "build_contact_rows"),
+    ("repro.fastpath.joints", "build_joint_rows"),
+    ("repro.fastpath.solver", "solve_islands"),
+    ("repro.fastpath.bodies", "apply_forces"),
+    ("repro.fastpath.bodies", "integrate"),
+    ("repro.fastpath.cloth", "collider_bounds"),
+    ("repro.fastpath.cloth", "step_cloth"),
+)
+
+
+class TestKernelSets:
+    def test_both_sets_expose_the_same_phases(self):
+        def phases(module):
+            return {name for name, fn in vars(module).items()
+                    if inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__
+                    and not name.startswith("_")}
+
+        # ``narrowphase`` is the phase-2 bookkeeping both ``collide``
+        # kernels run, not a phase of its own.
+        assert phases(numpy_kernels) == phases(scalar) - {"narrowphase"}
+        assert World(backend="scalar").kernels is scalar
+        assert World(backend="numpy").kernels is numpy_kernels
+
+    def test_stage_seams_are_late_bound(self, monkeypatch):
+        """A wrapper patched onto a stage entry point after import must
+        be what a numpy step runs, solo and grouped: a kernel set that
+        captured the function objects would pass every digest and
+        silently zero the benchmark's per-layer timings."""
+        fired = set()
+        for module_name, path in STAGE_SEAMS:
+            owner = importlib.import_module(module_name)
+            *parents, attr = path.split(".")
+            for parent in parents:
+                owner = getattr(owner, parent)
+
+            def counting(*args, _func=getattr(owner, attr),
+                         _key=(module_name, path), **kwargs):
+                fired.add(_key)
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        def session():
+            return Session.create(
+                SessionSpec("mix", scale=0.05, backend="numpy"))
+
+        session().step(1)
+        assert set(fired) == set(STAGE_SEAMS) - {
+            ("repro.fastpath.batch", "BatchWorld.step_frame")}
+        fired.clear()
+        SessionGroup([session(), session()]).step(1)
+        assert set(fired) == set(STAGE_SEAMS) - {
+            ("repro.engine.world", "World.step")}

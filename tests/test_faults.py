@@ -7,13 +7,14 @@ CI runs them as a separate step after tier-1.
 
 import pytest
 
+from repro.api import SessionSpec, run_scenario
 from repro.resilience import (
     Fault,
     FaultSchedule,
     FAULT_KINDS,
     WatchdogConfig,
 )
-from repro.workloads import BENCHMARKS, run_benchmark, validate_world
+from repro.workloads import BENCHMARKS, validate_world
 
 pytestmark = pytest.mark.faults
 
@@ -34,8 +35,9 @@ class TestFaultsTriggerAndRecover:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_each_fault_recovers(self, workload, kind):
         schedule = FaultSchedule([Fault(6, kind)])
-        run = run_benchmark(workload, scale=0.08, frames=10, seed=1,
-                            watchdog=True, fault_schedule=schedule)
+        run = run_scenario(SessionSpec(workload, scale=0.08, seed=1,
+                                       watchdog=True, faults=schedule),
+                           frames=10)
         assert run.injector.injected, "fault never landed"
         assert len(run.health) >= 1, "watchdog never triggered"
         assert run.health.unrecovered == 0
@@ -48,8 +50,9 @@ class TestFaultsTriggerAndRecover:
         """The injector has teeth: without the watchdog the same fault
         leaves NaNs for the validator to find."""
         schedule = FaultSchedule([Fault(6, "nan_position")])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=False, fault_schedule=schedule)
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       faults=schedule),
+                           frames=10)
         report = validate_world(run.world)
         assert not report.ok
 
@@ -63,33 +66,37 @@ class TestEscalationLadder:
 
     def test_transient_fault_recovers_at_double_iterations(self):
         schedule = FaultSchedule([Fault(6, "huge_impulse")])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=True, fault_schedule=schedule)
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       watchdog=True, faults=schedule),
+                           frames=10)
         assert run.health.rungs_fired() == ["double_iterations"]
 
     def test_half_dt_rung_fires_when_first_offered(self):
         cfg = WatchdogConfig(ladder=("half_dt", "clamp_velocities",
                                      "quarantine"))
         schedule = FaultSchedule([Fault(6, "huge_impulse")])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=True, watchdog_config=cfg,
-                            fault_schedule=schedule)
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       watchdog=True, watchdog_config=cfg,
+                                       faults=schedule),
+                           frames=10)
         assert run.health.rungs_fired() == ["half_dt"]
         assert run.health.unrecovered == 0
 
     def test_persistent_impulse_escalates_to_clamp(self):
         schedule = FaultSchedule([Fault(6, "huge_impulse",
                                         persistent=True)])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=True, fault_schedule=schedule)
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       watchdog=True, faults=schedule),
+                           frames=10)
         assert "clamp_velocities" in run.health.rungs_fired()
         assert run.health.unrecovered == 0
 
     def test_persistent_nan_escalates_to_quarantine(self):
         schedule = FaultSchedule([Fault(6, "nan_position",
                                         persistent=True)])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=True, fault_schedule=schedule)
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       watchdog=True, faults=schedule),
+                           frames=10)
         assert "quarantine" in run.health.rungs_fired()
         assert run.health.unrecovered == 0
         event = run.health.events[-1]
@@ -112,9 +119,9 @@ class TestDeterminism:
         logs = []
         for _ in range(2):
             schedule = FaultSchedule.seeded(7, steps=18, count=3)
-            run = run_benchmark("explosions", scale=0.08, frames=6,
-                                seed=7, watchdog=True,
-                                fault_schedule=schedule)
+            run = run_scenario(SessionSpec("explosions", scale=0.08, seed=7,
+                                           watchdog=True, faults=schedule),
+                               frames=6)
             # uids differ across builds (global counter); compare the
             # deterministic (step, kind) stream.
             logs.append([(s, k) for s, k, _ in run.injector.injected])
@@ -130,8 +137,9 @@ class TestAcceptanceGauntlet:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_workload_survives_seeded_faults(self, name):
         schedule = FaultSchedule.seeded(11, steps=30 * 3, count=4)
-        run = run_benchmark(name, scale=0.05, frames=30, seed=11,
-                            watchdog=True, fault_schedule=schedule)
+        run = run_scenario(SessionSpec(name, scale=0.05, seed=11,
+                                       watchdog=True, faults=schedule),
+                           frames=30)
         assert run.health.unrecovered == 0
         assert _world_is_finite(run.world)
         report = validate_world(run.world, health=run.health)
@@ -148,9 +156,10 @@ class TestNumpyBackendWatchdog:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_each_fault_recovers_on_numpy(self, kind):
         schedule = FaultSchedule([Fault(6, kind)])
-        run = run_benchmark("explosions", scale=0.08, frames=10, seed=1,
-                            watchdog=True, fault_schedule=schedule,
-                            backend="numpy")
+        run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
+                                       watchdog=True, backend="numpy",
+                                       faults=schedule),
+                           frames=10)
         assert run.world.backend == "numpy"
         assert run.injector.injected, "fault never landed"
         assert len(run.health) >= 1, "watchdog never triggered"
@@ -165,10 +174,10 @@ class TestNumpyBackendWatchdog:
         fired = {}
         for backend in ("scalar", "numpy"):
             schedule = FaultSchedule.seeded(11, steps=10 * 3, count=3)
-            run = run_benchmark("explosions", scale=0.08, frames=10,
-                                seed=11, watchdog=True,
-                                fault_schedule=schedule,
-                                backend=backend)
+            run = run_scenario(SessionSpec("explosions", scale=0.08, seed=11,
+                                           watchdog=True, backend=backend,
+                                           faults=schedule),
+                               frames=10)
             assert run.health.unrecovered == 0
             fired[backend] = run.health.rungs_fired()
         assert fired["scalar"] == fired["numpy"]

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import SessionSpec, run_scenario
 from repro.profiling import PARALLEL_PHASES, mean_report
 from repro.profiling.tasks import cg_speedup
 from repro.workloads import (
     BENCHMARKS,
     get_benchmark,
-    run_benchmark,
     validate_world,
 )
 
@@ -33,18 +33,19 @@ class TestBenchmarkRegistry:
 class TestBenchmarkRuns:
     @pytest.mark.parametrize("name", sorted(EXPECTED_BENCHMARKS))
     def test_runs_clean_at_reduced_scale(self, name):
-        run = run_benchmark(name, scale=0.05, frames=2, seed=3)
+        run = run_scenario(SessionSpec(name, scale=0.05, seed=3),
+                           frames=2)
         report = validate_world(run.world)
         assert report.ok, report.summary()
 
     def test_periodic_acceptance_case(self):
         """The ISSUE acceptance criterion, verbatim."""
-        run = run_benchmark("periodic", scale=0.1, frames=3)
+        run = run_scenario(SessionSpec("periodic", scale=0.1), frames=3)
         assert len(run.reports) == 3
         assert validate_world(run.world).ok
 
     def test_table4_row_fields(self):
-        run = run_benchmark("ragdoll", scale=0.05, frames=2)
+        run = run_scenario(SessionSpec("ragdoll", scale=0.05), frames=2)
         row = run.table4_row()
         assert row["benchmark"] == "ragdoll"
         assert row["objects"] > 0
@@ -52,14 +53,15 @@ class TestBenchmarkRuns:
         assert row["islands"] >= 1
 
     def test_deformable_has_cloth(self):
-        run = run_benchmark("deformable", scale=0.05, frames=2)
+        run = run_scenario(SessionSpec("deformable", scale=0.05),
+                           frames=2)
         row = run.table4_row()
         assert row["cloth_objects"] >= 1
         assert row["cloth_vertices"] > 0
 
     def test_measured_is_mean_of_tail(self):
-        run = run_benchmark("periodic", scale=0.05, frames=3,
-                            measure_from=1)
+        run = run_scenario(SessionSpec("periodic", scale=0.05), frames=3,
+                           measure_from=1)
         manual = mean_report(run.reports[1:])
         assert (run.measured.total_instructions()
                 == manual.total_instructions())
@@ -67,7 +69,8 @@ class TestBenchmarkRuns:
 
 class TestCostModel:
     def _report(self):
-        return run_benchmark("ragdoll", scale=0.05, frames=2).measured
+        return run_scenario(SessionSpec("ragdoll", scale=0.05),
+                            frames=2).measured
 
     def test_instructions_positive_for_active_phases(self):
         per_phase = self._report().phase_instructions()
