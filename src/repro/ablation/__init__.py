@@ -8,12 +8,12 @@ memoized per-config results, and scores per-feature importance (Δfps,
     PYTHONPATH=src python -m repro.ablation \\
         --features all --workloads table3 --scale 0.03
 
-emits a schema-versioned ``BENCH_10.json``; ``scripts/perf_report.py
---check`` gates fresh runs against the committed
-``results/bench/trajectory.json`` (see :mod:`repro.ablation.trajectory`
-for the tolerance-band semantics).  :mod:`repro.ablation.studies` holds
-the four focused single-mechanism scenes behind
-``results/ablation_*.txt``.
+prints the per-feature scores and writes a schema-versioned
+``ablation.json``.  The fps columns are indicative only: performance
+claims rest on ``python bench/run.py`` (see ``bench/README.md``); the
+deterministic columns (digest, row updates, validation) are asserted
+in ``tests/test_ablation.py``.  :mod:`repro.ablation.studies` holds the
+four focused single-mechanism scenes behind ``results/ablation_*.txt``.
 """
 
 from .features import Feature, FeatureRegistry, default_registry

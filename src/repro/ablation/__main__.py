@@ -1,13 +1,12 @@
-"""Run the feature-ablation matrix and emit ``BENCH_10.json``.
+"""Run the feature-ablation matrix and emit ``ablation.json``.
 
     PYTHONPATH=src python -m repro.ablation \\
         --features all --workloads table3 --scale 0.03
 
 ``--features`` takes a comma-separated subset of the registry (or
 ``all``); ``--workloads`` takes Table 3 benchmark names (or
-``table3``/``all``).  ``--pairwise`` adds the two-feature interaction
-cells.  ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_FRAMES`` provide the
-defaults CI uses.
+``table3``/``all``).  ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_FRAMES``
+provide the defaults CI uses.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate each cell N times, keep the "
                              "fastest sample (non-timing metrics are "
                              "identical across repeats)")
-    parser.add_argument("--pairwise", action="store_true",
-                        help="add two-feature interaction cells")
     parser.add_argument("--list", action="store_true",
                         help="list registered features and exit")
-    parser.add_argument("--out", default="BENCH_10.json")
+    parser.add_argument("--out", default="ablation.json")
     return parser
 
 
@@ -69,7 +66,7 @@ def main(argv=None) -> int:
         features=args.features, workloads=args.workloads,
         scale=args.scale, frames=args.frames, seed=args.seed,
         jobs=args.jobs, batch_worlds=args.batch_n,
-        pairwise=args.pairwise, repeats=args.repeats)
+        repeats=args.repeats)
     runner = AblationRunner(config, registry)
     payload = runner.run(progress=lambda msg: print(f"# {msg}",
                                                     flush=True))

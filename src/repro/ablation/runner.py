@@ -1,10 +1,10 @@
 """Ablation run matrix: generation, parallel execution, importance.
 
 The :class:`AblationRunner` expands a :class:`FeatureRegistry` into the
-baseline-plus-one-off run matrix (optionally plus pairwise cells),
-executes every *unique* configuration exactly once — the baseline is
-shared by most features, so the matrix dedups hard — in parallel via
-:mod:`multiprocessing`, and folds the per-run metrics into per-feature
+baseline-plus-one-off run matrix, executes every *unique*
+configuration exactly once — the baseline is shared by most features,
+so the matrix dedups hard — in parallel via :mod:`multiprocessing`,
+and folds the per-run metrics into per-feature
 importance scores:
 
 * ``delta_fps_pct`` — wall-throughput change of the toggled state
@@ -54,8 +54,7 @@ class AblationConfig:
     def __init__(self, features="all", workloads="table3",
                  scale: float = 0.03, frames: int = 4, seed: int = 0,
                  measure_from: int = None, jobs: int = None,
-                 batch_worlds: int = 4, pairwise: bool = False,
-                 repeats: int = 2):
+                 batch_worlds: int = 4, repeats: int = 2):
         self.features = features
         self.workloads = self._resolve_workloads(workloads)
         self.scale = float(scale)
@@ -65,11 +64,10 @@ class AblationConfig:
                              if measure_from is None else measure_from)
         self.jobs = jobs
         self.batch_worlds = int(batch_worlds)
-        self.pairwise = bool(pairwise)
         #: Each configuration simulates ``repeats`` times and keeps the
-        #: fastest sample: fps feeds a lower-bound perf gate, so the
-        #: slow-outlier tail is what must be suppressed.  Deterministic
-        #: metrics are identical across repeats by construction.
+        #: fastest sample, which suppresses the slow-outlier tail of
+        #: the fps columns.  Deterministic metrics are identical across
+        #: repeats by construction.
         self.repeats = max(1, int(repeats))
 
     @staticmethod
@@ -275,24 +273,6 @@ class AblationRunner:
             request["arch"] = True
         return request
 
-    @staticmethod
-    def _merge_patches(a: dict, b: dict):
-        """Merged patch, or ``None`` when the two conflict."""
-        merged = {}
-        for key in set(a) | set(b):
-            if key == "config":
-                ca, cb = a.get("config") or {}, b.get("config") or {}
-                clash = {f for f in set(ca) & set(cb)
-                         if ca[f] != cb[f]}
-                if clash:
-                    return None
-                merged["config"] = {**ca, **cb}
-            elif key in a and key in b and a[key] != b[key]:
-                return None
-            else:
-                merged[key] = a.get(key, b.get(key))
-        return merged
-
     def build_matrix(self):
         """Every (cell, request) the run needs; cells share requests.
 
@@ -319,29 +299,11 @@ class AblationRunner:
                     continue
                 add(feature.name, workload, "base", feature.base_patch)
                 add(feature.name, workload, "toggled", feature.patch)
-        if self.config.pairwise:
-            for fa, fb, merged in self._pairwise_patches():
-                for workload in self.config.workloads:
-                    if not (fa.applicable(workload)
-                            and fb.applicable(workload)):
-                        continue
-                    add(f"{fa.name}+{fb.name}", workload, "pair",
-                        merged)
         return cells, requests
-
-    def _pairwise_patches(self):
-        engine = [f for f in self.features if f.kind == "engine"]
-        out = []
-        for i, fa in enumerate(engine):
-            for fb in engine[i + 1:]:
-                merged = self._merge_patches(fa.patch, fb.patch)
-                if merged is not None:
-                    out.append((fa, fb, merged))
-        return out
 
     # -- execution ------------------------------------------------------
     def run(self, progress=None) -> dict:
-        """Execute the matrix; returns the BENCH_10 ``ablation`` payload."""
+        """Execute the matrix; returns the ``ablation`` payload."""
         cells, requests = self.build_matrix()
         jobs = self.config.resolved_jobs()
         keys = sorted(requests)
@@ -455,7 +417,6 @@ class AblationRunner:
                 "measure_from": cfg.measure_from,
                 "jobs": cfg.resolved_jobs(),
                 "batch_worlds": cfg.batch_worlds,
-                "pairwise": cfg.pairwise,
                 "repeats": cfg.repeats,
             },
             "workloads": list(cfg.workloads),
@@ -468,40 +429,11 @@ class AblationRunner:
                 "wall_seconds": wall_seconds,
             },
         }
-        if cfg.pairwise:
-            payload["pairwise"] = self._assemble_pairwise(cells, results,
-                                                          features)
         return payload
-
-    def _assemble_pairwise(self, cells, results, features) -> dict:
-        out = {}
-        for fa, fb, _merged in self._pairwise_patches():
-            pair_name = f"{fa.name}+{fb.name}"
-            per_workload = {}
-            for workload in self.config.workloads:
-                key = cells.get((pair_name, workload, "pair"))
-                if key is None:
-                    continue
-                base = results[cells[(None, workload, "baseline")]]
-                pair = results[key]
-                da = features[fa.name]["workloads"][workload][
-                    "delta_fps_pct"]
-                db = features[fb.name]["workloads"][workload][
-                    "delta_fps_pct"]
-                dpair = ((pair["fps"] - base["fps"]) / base["fps"]
-                         * 100.0 if base["fps"] else 0.0)
-                per_workload[workload] = {
-                    "delta_fps_pct": dpair,
-                    "interaction_pct": dpair - (da + db),
-                    "digest": pair["digest"],
-                    "validate_ok": pair["validate_ok"],
-                }
-            out[pair_name] = per_workload
-        return out
 
 
 def make_report(payload: dict) -> dict:
-    """Wrap an ablation payload in the BENCH-file envelope."""
+    """Wrap an ablation payload in the schema/platform envelope."""
     return {
         "schema": SCHEMA,
         "python": platform.python_version(),

@@ -1,9 +1,9 @@
 """Ray queries against world geometry.
 
-Used by the CCD sweep (fast movers cast along their motion), scene
-tooling, and the engine microbenchmarks. Rays are parameterized as
-``origin + t * direction`` with ``t`` in world units when ``direction``
-is normalized (``raycast_world`` normalizes for you).
+Used by the CCD sweep (fast movers cast along their motion) and scene
+tooling. Rays are parameterized as ``origin + t * direction`` with ``t``
+in world units when ``direction`` is normalized (``raycast_world``
+normalizes for you).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Quick start::
         print(cluster.query("demo")["digest"])
 
 Async front-end: :class:`~repro.serve.service.SimService`. Load test:
-``python -m repro.serve.loadtest`` (writes ``BENCH_9.json``).
+``python -m repro.serve.loadtest`` (writes ``serve_loadtest.json``).
 """
 
 from .cluster import SimCluster

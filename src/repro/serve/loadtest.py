@@ -2,14 +2,15 @@
 
 Drives N concurrent sessions across W shard worker processes through
 the asyncio front-end, in rounds of batched step commands, migrating a
-few sessions between shards mid-run, then emits ``BENCH_9.json`` with
-throughput, p50/p95/p99 frame times, queue depths, and a bit-identity
-verdict comparing migrated sessions against local unmigrated twins.
+few sessions between shards mid-run, then emits ``serve_loadtest.json``
+with throughput, p50/p95/p99 frame times, queue depths, and a
+bit-identity verdict comparing migrated sessions against local
+unmigrated twins.
 
 Usage::
 
     python -m repro.serve.loadtest --sessions 100 --workers 2 \\
-        --frames 12 --out BENCH_9.json
+        --frames 12 --out serve_loadtest.json
 
 Everything is deterministic — per-session seeds are their index, no
 RNG is consulted — so two runs differ only in timing, never in state.
@@ -102,7 +103,6 @@ async def run_loadtest(opts) -> dict:
     frames_total = opts.sessions * opts.frames
     summary = stats["frame_time_summary"]
     report = {
-        "bench": 9,
         "kind": "serve_loadtest",
         "params": {
             "sessions": opts.sessions,
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.loadtest",
         description="Drive the sharded simulation service and emit "
-                    "BENCH_9.json")
+                    "serve_loadtest.json")
     parser.add_argument("--sessions", type=int, default=100)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--frames", type=int, default=12,
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sessions replayed locally for the "
                              "bit-identity check")
     parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--out", default="BENCH_9.json")
+    parser.add_argument("--out", default="serve_loadtest.json")
     return parser
 
 

@@ -111,6 +111,10 @@ class SimService:
     # -- wire-level entry (shared by the TCP server and tests) ----------
     async def handle_message(self, msg: dict) -> dict:
         """Route one wire request dict; always returns a reply dict."""
+        if not isinstance(msg, dict):
+            return protocol.error_reply(-1, protocol.WorkerError(
+                f"request must be a JSON object, got "
+                f"{type(msg).__name__}"))
         req_id = msg.get("req_id", -1)
         verb = msg.get("verb")
         session_id = msg.get("session_id")
@@ -157,13 +161,15 @@ async def serve_tcp(service: SimService, host: str = "127.0.0.1",
     async def handle_connection(reader, writer):
         write_lock = asyncio.Lock()
 
-        async def respond(msg):
-            reply = await service.handle_message(msg)
+        async def send(reply):
             async with write_lock:
                 writer.write(json.dumps(reply).encode("utf-8") + b"\n")
                 await writer.drain()
 
-        tasks = []
+        async def respond(msg):
+            await send(await service.handle_message(msg))
+
+        tasks = {}  # in-flight replies, as an insertion-ordered set
         try:
             while True:
                 line = await reader.readline()
@@ -172,19 +178,15 @@ async def serve_tcp(service: SimService, host: str = "127.0.0.1",
                 try:
                     msg = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    msg = None
-                    async with write_lock:
-                        writer.write(json.dumps(protocol.error_reply(
-                            -1, protocol.WorkerError(
-                                f"bad JSON: {exc}"))).encode("utf-8")
-                            + b"\n")
-                        await writer.drain()
-                if msg is not None:
-                    tasks.append(asyncio.ensure_future(respond(msg)))
+                    await send(protocol.error_reply(
+                        -1, protocol.WorkerError(f"bad JSON: {exc}")))
+                    continue
+                task = asyncio.ensure_future(respond(msg))
+                tasks[task] = None
+                task.add_done_callback(tasks.pop)
         finally:
             for task in tasks:
-                if not task.done():
-                    task.cancel()
+                task.cancel()
             writer.close()
 
     return await asyncio.start_server(handle_connection, host, port)

@@ -124,25 +124,16 @@ class TestMatrix:
         assert AblationConfig(workloads="table3").workloads \
             == list(TABLE3_WORKLOADS)
 
-    def test_pairwise_adds_merged_cells(self):
-        cfg = AblationConfig(workloads="periodic", pairwise=True,
-                             features="warm_start,ccd", jobs=1)
-        cells, _ = AblationRunner(cfg).build_matrix()
-        assert ("warm_start+ccd", "periodic", "pair") in cells
-
-    def test_merge_patches_conflict_returns_none(self):
-        merge = AblationRunner._merge_patches
-        assert merge({"backend": "numpy"}, {"backend": "scalar"}) is None
-        assert merge({"config": {"ccd": False}},
-                     {"config": {"ccd": True}}) is None
-        merged = merge({"config": {"ccd": False}},
-                       {"config": {"warm_starting": False}})
-        assert merged == {"config": {"ccd": False,
-                                     "warm_starting": False}}
-
 
 # ---------------------------------------------------------------------------
 # runner (tiny end-to-end)
+
+
+#: Features whose toggle is a contract, not a trade-off: numpy ≡ scalar,
+#: packed ≡ solo, a clean watchdog run ≡ unguarded, SAP ≡ the brute
+#: pair set, and arch re-pricing never re-simulates.
+CONTRACT_FEATURES = ("numpy_fastpath", "batch_packing", "watchdog",
+                     "broadphase_sap", "l2_partitioning", "prefetch")
 
 
 class TestRunner:
@@ -183,6 +174,25 @@ class TestRunner:
         assert cell["base_fps"] == modeled["modeled_fps_paper"]
         assert cell["toggled_fps"] == modeled["modeled_fps_shared_l2"]
         assert cell["digest_changed"] is False
+
+    @pytest.mark.parametrize("name", CONTRACT_FEATURES)
+    def test_contract_toggle_keeps_solver_work(self, payload, name):
+        cell = payload["features"][name]["workloads"]["continuous"]
+        assert cell["delta_row_updates_pct"] == 0.0
+
+    # numpy_fastpath and l2_partitioning digests are asserted above.
+    @pytest.mark.parametrize("name", ("batch_packing", "watchdog",
+                                      "broadphase_sap", "prefetch"))
+    def test_contract_toggle_keeps_digest(self, payload, name):
+        cell = payload["features"][name]["workloads"]["continuous"]
+        assert cell["digest_changed"] is False
+
+    @pytest.mark.parametrize("name", ("l2_partitioning", "prefetch"))
+    def test_arch_features_reuse_baseline_row_updates(self, payload, name):
+        cell = payload["features"][name]["workloads"]["continuous"]
+        baseline = payload["baseline"]["continuous"]["row_updates"]
+        assert cell["base_row_updates"] == baseline
+        assert cell["toggled_row_updates"] == baseline
 
     def test_report_envelope(self, payload):
         report = make_report(payload)

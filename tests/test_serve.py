@@ -272,6 +272,15 @@ class TestService:
                 host, port = server.sockets[0].getsockname()[:2]
                 reader, writer = await asyncio.open_connection(host,
                                                                port)
+                # Valid JSON that is not a request object gets the same
+                # typed error frame as bad JSON, and the connection
+                # keeps serving.
+                rejected = []
+                for line in (b"[1,2]", b"5", b'"x"', b"null", b"{bad"):
+                    writer.write(line + b"\n")
+                    await writer.drain()
+                    rejected.append(json.loads(await asyncio.wait_for(
+                        reader.readline(), timeout=10)))
                 for req in (
                     {"req_id": 1, "verb": "create",
                      "session_id": "net",
@@ -292,13 +301,16 @@ class TestService:
                     reply = json.loads(line)
                     replies[reply["req_id"]] = reply
                 writer.close()
-                return replies
+                return rejected, replies
             finally:
                 server.close()
                 await server.wait_closed()
                 await service.close()
 
-        replies = asyncio.run(scenario())
+        rejected, replies = asyncio.run(scenario())
+        for reply in rejected:
+            assert reply["req_id"] == -1 and reply["ok"] is False
+            assert reply["error"]["type"] == "WorkerError"
         assert all(r["ok"] for r in replies.values())
         assert replies[3]["result"]["frame_index"] == 2
         assert len(replies[3]["result"]["digest"]) == 64
@@ -308,7 +320,7 @@ class TestService:
 def test_loadtest_micro_run(tmp_path):
     from repro.serve.loadtest import build_parser, run_loadtest
 
-    out = tmp_path / "BENCH_9.json"
+    out = tmp_path / "serve_loadtest.json"
     opts = build_parser().parse_args([
         "--sessions", "8", "--workers", "2", "--frames", "4",
         "--round-frames", "2", "--migrate", "1", "--verify", "2",
