@@ -40,11 +40,7 @@ def time_solo(n, backend):
     t0 = time.process_time()
     for _ in range(FRAMES):
         for world, drive in zip(worlds, drivers):
-            for _ in range(world.config.substeps_per_frame):
-                if drive is not None:
-                    drive()
-                world.step()
-            world.frame_index += 1
+            world.step_frame(drive)
     return time.process_time() - t0, worlds
 
 

@@ -10,8 +10,9 @@ One spec, one session, one way in:
   driver, ``session.step(n)`` advances rendered frames,
   ``session.checkpoint()`` / ``Session.restore(payload)`` round-trip
   the full state through JSON — the live-migration primitive.
-* :class:`SessionGroup` — a dynamic fleet of sessions stepped through
-  one packed :class:`~repro.fastpath.BatchWorld` solve.
+* :class:`SessionGroup` — a dynamic fleet of sessions, and the one
+  rule for which of them share a packed
+  :class:`~repro.fastpath.BatchWorld` solve.
 * :func:`run_scenario` — the harness entrypoint: run a spec for some
   frames and wrap the result as a ``BenchmarkRun``.
 
@@ -30,8 +31,7 @@ import hashlib
 from .collision import Geom
 from .dynamics import Body
 from .engine import WorldConfig
-from .fastpath import default_backend, resolve_backend
-from .profiling import FrameReport
+from .fastpath import BatchWorld, default_backend, resolve_backend
 
 __all__ = ["SessionSpec", "Session", "SessionGroup", "UidScope",
            "run_scenario"]
@@ -310,21 +310,10 @@ class Session:
         """Advance ``frames`` rendered frames; returns their reports."""
         if self._closed:
             raise RuntimeError("session is closed")
-        new_reports = []
+        stepper = self._guard.step if self._guard is not None else None
         with self._installed():
-            world = self.world
-            for _ in range(frames):
-                report = FrameReport(world.frame_index)
-                world.report = report
-                for _ in range(world.config.substeps_per_frame):
-                    if self._guard is not None:
-                        self._guard.step(self._driver)
-                    else:
-                        if self._driver is not None:
-                            self._driver()
-                        world.step()
-                world.frame_index += 1
-                new_reports.append(report)
+            new_reports = [self.world.step_frame(self._driver, stepper)
+                           for _ in range(frames)]
         self.reports.extend(new_reports)
         return new_reports
 
@@ -397,18 +386,19 @@ class Session:
 
 
 class SessionGroup:
-    """A dynamic fleet of sessions stepped through one packed solve.
+    """A dynamic fleet of sessions, packed wherever packing is exact.
 
-    Sessions can join and leave between frames (``add``/``remove``);
-    the underlying :class:`~repro.fastpath.BatchWorld` repacks stably.
-    Guarded (watchdog) sessions step solo — their rollback/retry loop
-    cannot be hoisted across worlds — and every other session joins the
-    batched frame; both paths are bit-identical to solo stepping.
+    The one packing rule (:meth:`cohorts`): unguarded sessions sharing a
+    kernel set, ``solver_iterations`` and ``substeps_per_frame`` form a
+    cohort and step through one :class:`~repro.fastpath.BatchWorld`
+    solve; a guarded (watchdog) session — its rollback/retry loop
+    cannot be hoisted across worlds — or a session alone in its cohort
+    steps through :meth:`Session.step`. Cohorts are re-derived every
+    frame, so sessions join and leave between frames (``add`` /
+    ``remove``) exactly; both paths are bit-identical to solo stepping.
     """
 
     def __init__(self, sessions=()):
-        from .fastpath import BatchWorld
-        self._batch = BatchWorld([])
         self.sessions = []
         for session in sessions:
             self.add(session)
@@ -422,33 +412,49 @@ class SessionGroup:
     def add(self, session: Session) -> Session:
         if session in self.sessions:
             raise ValueError("session already in group")
-        if session._guard is None:
-            self._batch.add_world(session.world)
         self.sessions.append(session)
         return session
 
     def remove(self, session: Session) -> Session:
         self.sessions.remove(session)
-        if session._guard is None:
-            self._batch.remove_world(session.world)
         return session
+
+    def cohorts(self):
+        """The members as lists that step together, in join order."""
+        cohorts, shared = [], {}
+        for session in self.sessions:
+            if session._guard is not None:
+                cohorts.append([session])
+                continue
+            config = session.world.config
+            key = (session.world.kernels, config.solver_iterations,
+                   config.substeps_per_frame)
+            if key not in shared:
+                shared[key] = []
+                cohorts.append(shared[key])
+            shared[key].append(session)
+        return cohorts
 
     def step(self, frames: int = 1):
         """Advance every member session ``frames`` rendered frames."""
-        batched = [s for s in self.sessions if s._guard is None]
-        guarded = [s for s in self.sessions if s._guard is not None]
         for _ in range(frames):
-            if batched:
-                # The lockstep frame runs under *no* scope: each
-                # session's driver installs its own scope around its
-                # tick (pure stepping never draws uids), so per-world
-                # work interleaves without uid crosstalk.
-                drivers = [self._scoped_driver(s) for s in batched]
-                reports = self._batch.step_frame(drivers)
-                for session, report in zip(batched, reports):
-                    session.reports.append(report)
-            for session in guarded:
-                session.step(1)
+            for cohort in self.cohorts():
+                self.step_cohort(cohort)
+
+    @staticmethod
+    def step_cohort(cohort):
+        """One rendered frame for one of :meth:`cohorts`' lists."""
+        if len(cohort) == 1:
+            cohort[0].step(1)
+            return
+        # The lockstep frame runs under *no* scope: each session's
+        # driver installs its own scope around its tick (pure stepping
+        # never draws uids), so per-world work interleaves without uid
+        # crosstalk.
+        reports = BatchWorld(s.world for s in cohort).step_frame(
+            [SessionGroup._scoped_driver(s) for s in cohort])
+        for session, report in zip(cohort, reports):
+            session.reports.append(report)
 
     @staticmethod
     def _scoped_driver(session: Session):

@@ -43,16 +43,7 @@ class TrajectoryRecorder:
         """
         self.snapshot()  # initial state
         for _ in range(frames):
-            from ..profiling import FrameReport
-            self.world.report = FrameReport(self.world.frame_index)
-            for _ in range(self.world.config.substeps_per_frame):
-                if stepper is not None:
-                    stepper(driver)
-                else:
-                    if driver is not None:
-                        driver()
-                    self.world.step()
-            self.world.frame_index += 1
+            self.world.step_frame(driver, stepper)
             self.snapshot()
         return self
 

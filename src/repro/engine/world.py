@@ -250,11 +250,23 @@ class World:
         return False
 
     # -- stepping -------------------------------------------------------
-    def step_frame(self) -> FrameReport:
-        """One rendered frame: fresh report + the configured sub-steps."""
+    def step_frame(self, driver=None, stepper=None) -> FrameReport:
+        """One rendered frame: fresh report + the configured sub-steps.
+
+        ``driver`` (a benchmark's zero-argument callback: cannons,
+        throttles, explosion schedules) runs before each sub-step.
+        ``stepper``, when given, replaces the driver + ``step()`` pair
+        and receives the driver; pass a ``StepWatchdog.step`` for a
+        guarded frame.
+        """
         self.report = FrameReport(self.frame_index)
         for _ in range(self.config.substeps_per_frame):
-            self.step()
+            if stepper is not None:
+                stepper(driver)
+            else:
+                if driver is not None:
+                    driver()
+                self.step()
         self.frame_index += 1
         return self.report
 

@@ -14,6 +14,12 @@ rows per dependency level, which is what lets the solver's vectorized
 Every world steps bit-identically to stepping it alone: the stage
 boundaries only hoist work across disjoint worlds, the same argument
 ``World.step`` already makes for hoisting across disjoint islands.
+
+``BatchWorld`` takes a *uniform* fleet and has no membership of its
+own: which worlds may share a fleet is decided in one place,
+:class:`repro.api.SessionGroup`, which builds a fleet per cohort per
+frame (packing is per step, so a world joining or leaving between
+frames is exact for the others).
 """
 
 from __future__ import annotations
@@ -22,54 +28,28 @@ from ..profiling import FrameReport
 
 
 class BatchWorld:
-    """Steps a fleet of independent worlds with one packed solve.
+    """Steps a uniform fleet of independent worlds with one packed solve.
 
-    The packed solve needs every world on one kernel set (one
-    ``backend``) and a single shared ``solver_iterations`` value;
-    anything else falls back to stepping the worlds one by one (still
-    correct, just unbatched).
+    The one ``solve`` call needs every world on one kernel set with one
+    ``solver_iterations`` value, and the lockstep frame needs one
+    ``substeps_per_frame``; anything else is a ``ValueError``.
     """
 
-    def __init__(self, worlds=()):
+    def __init__(self, worlds):
         self.worlds = list(worlds)
+        if len({(w.kernels, w.config.solver_iterations,
+                 w.config.substeps_per_frame)
+                for w in self.worlds}) != 1:
+            raise ValueError(
+                "BatchWorld needs a non-empty fleet sharing one kernel "
+                "set, solver_iterations and substeps_per_frame")
 
     def __len__(self):
         return len(self.worlds)
 
-    # -- membership -----------------------------------------------------
-    # Packing happens per step (``step`` re-derives spans from the
-    # current roster), so joining or leaving between steps is exact: the
-    # remaining worlds' islands still see only their own rows, in the
-    # same order as before. That's what makes the batch the unit of a
-    # serve shard — sessions come and go without a rebuild.
-
-    # pax: ignore[PAX202]: membership bookkeeping, not a kernel; the
-    # numerical path it feeds (step) is differentially tested.
-    def add_world(self, world):
-        """Join ``world`` to the fleet (steps with the next call)."""
-        if world in self.worlds:
-            raise ValueError("world already in batch")
-        self.worlds.append(world)
-        return world
-
-    # pax: ignore[PAX202]: membership bookkeeping, not a kernel; the
-    # numerical path it feeds (step) is differentially tested.
-    def remove_world(self, world):
-        """Drop ``world`` from the fleet, preserving the others' order."""
-        self.worlds.remove(world)
-        return world
-
-    def _batchable(self) -> bool:
-        return len({(w.kernels, w.config.solver_iterations)
-                    for w in self.worlds}) == 1
-
     def step(self):
         """Advance every world one ``dt`` sub-step: ``World.step``'s
         three stages over the fleet, around one packed solve."""
-        if not self._batchable():
-            for w in self.worlds:
-                w.step()
-            return
         prepared = [w._prepare_step() for w in self.worlds]
         lead = self.worlds[0]
         stats = lead.kernels.solve(
@@ -83,13 +63,12 @@ class BatchWorld:
             start = end
 
     def step_frame(self, drivers=None):
-        """One rendered frame for every world; returns their reports.
+        """One rendered frame for every world, in lockstep (the fleet
+        form of ``World.step_frame``); returns their reports.
 
         ``drivers`` is an optional per-world list of zero-argument
         callables invoked before each sub-step (the same contract as a
-        benchmark driver).  Worlds advance in lockstep, which requires
-        a uniform ``substeps_per_frame``; mixed configurations step
-        frame-by-frame per world instead.
+        benchmark driver).
         """
         if drivers is None:
             drivers = [None] * len(self.worlds)
@@ -97,20 +76,11 @@ class BatchWorld:
         for w in self.worlds:
             w.report = FrameReport(w.frame_index)
             reports.append(w.report)
-        substep_counts = {w.config.substeps_per_frame
-                          for w in self.worlds}
-        if len(substep_counts) == 1:
-            for _ in range(substep_counts.pop()):
-                for drive in drivers:
-                    if drive is not None:
-                        drive()
-                self.step()
-        else:
-            for w, drive in zip(self.worlds, drivers):
-                for _ in range(w.config.substeps_per_frame):
-                    if drive is not None:
-                        drive()
-                    w.step()
+        for _ in range(self.worlds[0].config.substeps_per_frame):
+            for drive in drivers:
+                if drive is not None:
+                    drive()
+            self.step()
         for w in self.worlds:
             w.frame_index += 1
         return reports

@@ -22,9 +22,8 @@ Two rule families (see ``repro.lint.rules``):
   ``WorldSnapshot``) and fastpath-kernel -> scalar-oracle coverage.
 
 Findings are suppressed inline with ``# pax: ignore[PAXNNN]: reason``
-(the reason is mandatory) or parked in a committed baseline file.  Run
-``python -m repro.lint --explain PAXNNN`` for any rule's rationale, or
-see ``docs/lint.md``.
+(the reason is mandatory).  Run ``python -m repro.lint --explain
+PAXNNN`` for any rule's rationale, or see ``docs/lint.md``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The ``python -m repro.lint`` command line.
 
-Exit codes: 0 = clean (or every finding suppressed/baselined),
+Exit codes: 0 = clean (or every finding suppressed),
 1 = new findings, 2 = usage or input error.
 """
 
@@ -12,7 +12,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import DEFAULT_BASELINE, Baseline
 from .runner import LintResult, lint_paths
 from .rules import all_rules, get_rule
 
@@ -37,16 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)")
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} next to the "
-             f"linted tree, when present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file: report every finding as new")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the baseline and exit 0")
-    parser.add_argument(
         "--show-suppressed", action="store_true",
         help="also list inline-suppressed findings (text format)")
     return parser
@@ -70,31 +59,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         selectors = [c for chunk in args.select
                      for c in chunk.split(",") if c.strip()]
 
-    baseline_path = args.baseline or _default_baseline(paths)
-    baseline = None
-    if not args.no_baseline and not args.update_baseline \
-            and baseline_path and os.path.isfile(baseline_path):
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"paxlint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        result = lint_paths(paths, select=selectors, baseline=baseline)
+        result = lint_paths(paths, select=selectors)
     except (FileNotFoundError, KeyError, SyntaxError) as exc:
         print(f"paxlint: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        out = baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(
-            [f for f in result.findings if not f.suppressed]).save(out)
-        print(f"paxlint: wrote baseline with "
-              f"{len([f for f in result.findings if not f.suppressed])}"
-              f" finding(s) to {out}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(_to_json(result), indent=2, sort_keys=True))
@@ -108,22 +77,6 @@ def _default_paths() -> List[str]:
         return [os.path.join("src", "repro")]
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return [here] if os.path.isdir(here) else []
-
-
-def _default_baseline(paths: List[str]) -> Optional[str]:
-    """Nearest paxlint.baseline.json at or above the first path."""
-    cur = os.path.abspath(paths[0])
-    if os.path.isfile(cur):
-        cur = os.path.dirname(cur)
-    for _ in range(16):
-        candidate = os.path.join(cur, DEFAULT_BASELINE)
-        if os.path.isfile(candidate):
-            return candidate
-        nxt = os.path.dirname(cur)
-        if nxt == cur:
-            break
-        cur = nxt
-    return None
 
 
 def _explain(code: str) -> int:
@@ -158,7 +111,6 @@ def _print_text(result: LintResult, show_suppressed: bool) -> None:
     print(f"paxlint: {result.files} file(s), "
           f"{len(result.rules)} rule(s): "
           f"{active} new finding(s), "
-          f"{len(result.baselined)} baselined, "
           f"{len(result.suppressed)} suppressed")
 
 
@@ -170,7 +122,6 @@ def _to_json(result: LintResult) -> dict:
         "findings": [f.to_dict() for f in result.findings],
         "counts": {
             "new": len(result.active),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "by_rule": result.counts_by_rule(),
         },

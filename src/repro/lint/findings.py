@@ -10,14 +10,11 @@ class Finding:
     """One rule violation, anchored to a file and line.
 
     ``line`` is where a ``# pax: ignore[...]`` suppression must sit
-    (same line or the standalone comment line directly above).  The
-    baseline intentionally matches on ``(rule, path, message)`` and not
-    the line number, so unrelated edits that shift lines don't churn
-    it.
+    (same line or the standalone comment line directly above).
     """
 
     __slots__ = ("rule", "path", "line", "message", "suppressed",
-                 "suppress_reason", "baselined")
+                 "suppress_reason")
 
     def __init__(self, rule: str, path: str, line: int, message: str):
         self.rule = rule
@@ -26,12 +23,11 @@ class Finding:
         self.message = message
         self.suppressed = False
         self.suppress_reason: Optional[str] = None
-        self.baselined = False
 
     # -- identity -------------------------------------------------------
     @property
     def rel_path(self) -> str:
-        """Path relative to the cwd, for stable report/baseline text."""
+        """Path relative to the cwd, for stable report text."""
         try:
             rel = os.path.relpath(self.path)
         except ValueError:  # different drive (windows)
@@ -39,10 +35,6 @@ class Finding:
         if rel.startswith(".."):
             return self.path.replace(os.sep, "/")
         return rel.replace(os.sep, "/")
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used by the baseline."""
-        return (self.rule, self.rel_path, self.message)
 
     def sort_key(self) -> Tuple[str, int, str]:
         return (self.rel_path, self.line, self.rule)
@@ -60,7 +52,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
             "suppress_reason": self.suppress_reason,
-            "baselined": self.baselined,
         }
 
     def __repr__(self) -> str:

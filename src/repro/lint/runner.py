@@ -1,10 +1,9 @@
-"""Orchestration: files -> rules -> suppressions -> baseline -> result."""
+"""Orchestration: files -> rules -> suppressions -> result."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .baseline import Baseline
 from .findings import Finding
 from .rules import Rule, all_codes, all_rules, select_rules
 from .sources import SourceFile, collect_files, load_source
@@ -16,25 +15,19 @@ class LintResult:
 
     def __init__(self, findings: List[Finding], files: int,
                  rules: List[Rule]):
-        #: every finding, including suppressed and baselined ones
+        #: every finding, including suppressed ones
         self.findings = sorted(findings, key=Finding.sort_key)
         self.files = files
         self.rules = rules
 
     @property
     def active(self) -> List[Finding]:
-        """Findings neither suppressed inline nor in the baseline."""
-        return [f for f in self.findings
-                if not f.suppressed and not f.baselined]
+        """Findings not suppressed inline."""
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> List[Finding]:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings
-                if f.baselined and not f.suppressed]
 
     def counts_by_rule(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -48,19 +41,15 @@ class LintResult:
 
 
 def lint_paths(paths: Sequence[str],
-               select: Optional[Sequence[str]] = None,
-               baseline: Optional[Baseline] = None) -> LintResult:
+               select: Optional[Sequence[str]] = None) -> LintResult:
     """Lint ``paths`` (files and/or directories) and return the result.
 
     ``select`` holds ``--select`` patterns (exact codes or prefixes
-    like ``PAX1``); ``baseline`` absorbs known findings so only new
-    ones count toward the exit code.
+    like ``PAX1``).
     """
     rules = select_rules(select) if select else all_rules()
     files = [load_source(path) for path in collect_files(list(paths))]
     findings = run_rules(rules, files)
-    if baseline is not None:
-        baseline.absorb([f for f in findings if not f.suppressed])
     return LintResult(findings, len(files), rules)
 
 

@@ -235,13 +235,8 @@ class StepWatchdog:
         return event
 
     def step_frame(self, driver=None) -> FrameReport:
-        """One guarded rendered frame (mirrors ``World.step_frame``)."""
-        world = self.world
-        world.report = FrameReport(world.frame_index)
-        for _ in range(world.config.substeps_per_frame):
-            self.step(driver)
-        world.frame_index += 1
-        return world.report
+        """One guarded rendered frame."""
+        return self.world.step_frame(driver, self.step)
 
     def _plain_step(self, driver):
         if driver is not None:

@@ -7,20 +7,26 @@ between shards via checkpoint/restore with bit-identical replay, and
 degrade gracefully under load (quarantine, bounded-queue backpressure,
 per-session watchdogs).
 
-Quick start::
+Quick start (:class:`~repro.serve.service.SimService` is the client
+API; :class:`~repro.serve.cluster.SimCluster` is the transport under
+it)::
 
+    import asyncio
     from repro.api import SessionSpec
-    from repro.serve import SimCluster
+    from repro.serve import SimService
 
-    with SimCluster(n_shards=2) as cluster:
-        cluster.create_session("demo", SessionSpec("periodic",
-                                                   scale=0.05,
-                                                   backend="numpy"))
-        cluster.step("demo", frames=10)
-        print(cluster.query("demo")["digest"])
+    async def main():
+        async with SimService.start(n_shards=2) as service:
+            await service.create_session(
+                "demo", SessionSpec("periodic", scale=0.05,
+                                    backend="numpy"))
+            await service.step("demo", frames=10)
+            print((await service.query("demo"))["digest"])
 
-Async front-end: :class:`~repro.serve.service.SimService`. Load test:
-``python -m repro.serve.loadtest`` (writes ``serve_loadtest.json``).
+    asyncio.run(main())
+
+Load test: ``python -m repro.serve.loadtest`` (writes
+``serve_loadtest.json``).
 """
 
 from .cluster import SimCluster

@@ -1,4 +1,4 @@
-"""Multi-process simulation cluster.
+"""Multi-process simulation cluster: the transport under ``SimService``.
 
 :class:`SimCluster` owns N shard worker processes, each with a bounded
 command inbox, plus one shared outbox drained by a reader thread that
@@ -9,10 +9,13 @@ stalling the caller, and a dead worker raises
 :class:`~repro.serve.protocol.ShardDownError`.
 
 Sessions route to shards through a :class:`~repro.serve.routing
-.RoutingTable` — hash placement with migration overrides. Migration is
-checkpoint → destroy → restore on the target shard → route update, and
-because session checkpoints carry their uid base and full build state,
-the restored session replays bit-identically to one that never moved.
+.RoutingTable` — hash placement with migration overrides. This module
+is the one place a verb meets that table: :meth:`SimCluster.submit`
+picks the shard, and the reader applies the verb's effect on the table
+when its reply comes back ok (``restore`` pins the session to the shard
+that restored it, ``destroy`` drops its override). The client API —
+the named verbs, migration, merged stats, deadlines — is
+:class:`~repro.serve.service.SimService`.
 
 Workers are started *before* the reader thread so fork-based start
 methods never fork a process while this process holds live threads.
@@ -21,19 +24,17 @@ methods never fork a process while this process holds live threads.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import multiprocessing
 import queue
 import threading
 
 from . import protocol
-from .metrics import merge_snapshots
 from .routing import RoutingTable
 from .shard import ShardOptions, shard_main
 
 
-def _pick_start_method(requested: str = None) -> str:
-    if requested is not None:
-        return requested
+def _pick_start_method() -> str:
     # fork shares the already-imported interpreter image (fast start);
     # fall back to spawn where fork is unavailable (e.g. macOS default).
     if "fork" in multiprocessing.get_all_start_methods():
@@ -42,15 +43,11 @@ def _pick_start_method(requested: str = None) -> str:
 
 
 class SimCluster:
-    """Sharded multi-world simulation service (synchronous core).
-
-    The asyncio front-end (:class:`repro.serve.service.SimService`)
-    wraps the same futures; both share this class for lifecycle,
-    routing, and migration.
-    """
+    """Shard processes, their queues, reply futures and the routing
+    table; see the module docstring."""
 
     def __init__(self, n_shards: int = 2, backlog: int = 64,
-                 start_method: str = None, request_timeout: float = 120.0,
+                 request_timeout: float = 120.0,
                  shard_options: ShardOptions = None):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -60,8 +57,7 @@ class SimCluster:
         options = shard_options if shard_options is not None \
             else ShardOptions()
 
-        ctx = multiprocessing.get_context(
-            _pick_start_method(start_method))
+        ctx = multiprocessing.get_context(_pick_start_method())
         self._inboxes = [ctx.Queue(maxsize=backlog)
                          for _ in range(n_shards)]
         self._outbox = ctx.Queue()
@@ -77,7 +73,7 @@ class SimCluster:
 
         self._lock = threading.Lock()
         self._next_req_id = 0
-        self._pending = {}  # req_id -> Future
+        self._pending = {}  # req_id -> (Future, routing effect)
         self._closed = False
         self._reader = threading.Thread(target=self._read_replies,
                                         daemon=True,
@@ -91,7 +87,14 @@ class SimCluster:
             if msg is None:  # shutdown sentinel from close()
                 break
             with self._lock:
-                future = self._pending.pop(msg.get("req_id"), None)
+                future, routed = self._pending.pop(msg.get("req_id"),
+                                                   (None, None))
+            # The table follows what the shard did — before the waiter
+            # can observe the reply, and even if it stopped waiting.
+            # This thread is the table's only writer (one dict
+            # operation per reply); ``submit`` only reads it.
+            if routed is not None and msg.get("ok"):
+                routed()
             if future is not None and not future.cancelled():
                 future.set_result(msg)
 
@@ -100,21 +103,35 @@ class SimCluster:
                **args) -> "concurrent.futures.Future":
         """Enqueue a request; the future resolves with the raw reply.
 
-        Raises :class:`BackpressureError` if the shard inbox is full
-        and :class:`ShardDownError` if the worker process has exited.
+        ``shard_id=None`` routes to the shard that owns ``session_id``;
+        an explicit shard is a migration's target or one shard's
+        ``stats``. Raises :class:`BackpressureError` if the shard inbox
+        is full and :class:`ShardDownError` if the worker process has
+        exited.
         """
         if self._closed:
             raise protocol.ShardDownError("cluster is closed")
+        if shard_id is None:
+            if session_id is None:
+                raise protocol.UnknownSessionError(
+                    f"verb {verb!r} requires a session_id")
+            shard_id = self.routing.shard_of(session_id)
         if not 0 <= shard_id < self.n_shards:
             raise ValueError(f"shard {shard_id} out of range")
         if not self._procs[shard_id].is_alive():
             raise protocol.ShardDownError(
                 f"shard {shard_id} process has exited")
+        routed = None
+        if verb == "restore":
+            routed = functools.partial(self.routing.assign, session_id,
+                                       shard_id)
+        elif verb == "destroy":
+            routed = functools.partial(self.routing.forget, session_id)
         with self._lock:
             req_id = self._next_req_id
             self._next_req_id += 1
             future = concurrent.futures.Future()
-            self._pending[req_id] = future
+            self._pending[req_id] = (future, routed)
         msg = protocol.request(req_id, verb, session_id, **args)
         try:
             self._inboxes[shard_id].put_nowait(msg)
@@ -125,80 +142,13 @@ class SimCluster:
                 f"shard {shard_id} inbox is full; retry or shed load")
         return future
 
-    def _call(self, shard_id: int, verb: str, session_id: str = None,
-              **args):
-        future = self.submit(shard_id, verb, session_id, **args)
-        try:
-            reply = future.result(timeout=self.request_timeout)
-        except concurrent.futures.TimeoutError:
-            with self._lock:
-                self._pending = {rid: fut for rid, fut in
-                                 self._pending.items()
-                                 if fut is not future}
-            raise protocol.ShardTimeoutError(
-                f"shard {shard_id} gave no reply for {verb!r} within "
-                f"{self.request_timeout}s")
-        return protocol.raise_if_error(reply)
-
-    # -- session lifecycle ----------------------------------------------
-    def create_session(self, session_id: str, spec) -> dict:
-        """Create ``session_id`` from a SessionSpec (or its dict)."""
-        spec_dict = spec if isinstance(spec, dict) else spec.to_dict()
-        shard_id = self.routing.shard_of(session_id)
-        return self._call(shard_id, "create", session_id,
-                          spec=spec_dict)
-
-    def step(self, session_id: str, frames: int = 1) -> dict:
-        return self._call(self.routing.shard_of(session_id), "step",
-                          session_id, frames=frames)
-
-    def query(self, session_id: str) -> dict:
-        return self._call(self.routing.shard_of(session_id), "query",
-                          session_id)
-
-    def checkpoint(self, session_id: str) -> dict:
-        return self._call(self.routing.shard_of(session_id),
-                          "checkpoint", session_id)
-
-    def restore_session(self, session_id: str, payload: dict,
-                        shard_id: int = None) -> dict:
-        """Restore a checkpoint as ``session_id``; optionally pin it to
-        an explicit shard (the migration path)."""
-        if shard_id is None:
-            shard_id = self.routing.shard_of(session_id)
-        result = self._call(shard_id, "restore", session_id,
-                            payload=payload)
-        self.routing.assign(session_id, shard_id)
-        return result
-
-    def destroy(self, session_id: str) -> dict:
-        result = self._call(self.routing.shard_of(session_id),
-                            "destroy", session_id)
-        self.routing.forget(session_id)
-        return result
-
-    def migrate(self, session_id: str, target_shard: int) -> dict:
-        """Move a live session: checkpoint -> destroy -> restore.
-
-        The checkpoint carries the full build state and uid base, so
-        the restored session continues bit-identically on the target.
-        """
-        source_shard = self.routing.shard_of(session_id)
-        if target_shard == source_shard:
-            return self.query(session_id)
-        payload = self._call(source_shard, "checkpoint", session_id)
-        self._call(source_shard, "destroy", session_id)
-        return self.restore_session(session_id, payload, target_shard)
-
-    # -- observability --------------------------------------------------
-    def shard_stats(self, shard_id: int) -> dict:
-        return self._call(shard_id, "stats")
-
-    def stats(self) -> dict:
-        """Cluster-wide metrics: per-shard snapshots plus the merge."""
-        snapshots = [self.shard_stats(shard_id)
-                     for shard_id in range(self.n_shards)]
-        return merge_snapshots(snapshots)
+    def abandon(self, future):
+        """Forget a request whose deadline passed: nobody waits for
+        its reply any more, so a late one is dropped."""
+        with self._lock:
+            self._pending = {req_id: entry for req_id, entry
+                             in self._pending.items()
+                             if entry[0] is not future}
 
     # -- lifecycle ------------------------------------------------------
     def close(self, timeout: float = 10.0):
@@ -223,7 +173,7 @@ class SimCluster:
         self._reader.join(timeout=timeout)
         with self._lock:
             pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future, _routed in pending.values():
             if not future.done():
                 future.set_exception(
                     protocol.ShardDownError("cluster closed"))

@@ -11,9 +11,12 @@ one opaque ``RuntimeError``.
 
 from __future__ import annotations
 
+#: Verbs addressed to one session; a client may send any of them.
+SESSION_VERBS = ("create", "step", "query", "checkpoint", "restore",
+                 "destroy")
+
 #: Verbs a shard worker understands.
-VERBS = ("create", "step", "query", "checkpoint", "restore", "destroy",
-         "stats", "shutdown")
+VERBS = SESSION_VERBS + ("stats", "shutdown")
 
 
 class ServeError(RuntimeError):

@@ -1,11 +1,14 @@
-"""Asyncio front-end over :class:`~repro.serve.cluster.SimCluster`.
+"""The client API of the simulation service.
 
-:class:`SimService` exposes the session verbs as coroutines: each call
-submits to the owning shard's bounded queue and awaits the worker's
-reply future (``asyncio.wrap_future``), so hundreds of in-flight
-commands interleave on one event loop while the physics runs in the
-worker processes. :func:`serve_tcp` optionally exposes the same verbs
-as a JSON-lines TCP endpoint for out-of-process clients.
+:class:`SimService` is the one way to talk to a running
+:class:`~repro.serve.cluster.SimCluster`: every verb is a coroutine
+that goes through :meth:`SimService.call` — submit to the owning
+shard's bounded queue, await the worker's reply future
+(``asyncio.wrap_future``) under the cluster's deadline, re-raise a
+typed error — so hundreds of in-flight commands interleave on one
+event loop while the physics runs in the worker processes.
+:func:`serve_tcp` optionally exposes the same verbs as a JSON-lines
+TCP endpoint for out-of-process clients.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 
 from . import protocol
 from .cluster import SimCluster
+from .metrics import merge_snapshots
 
 
 class SimService:
@@ -34,67 +38,73 @@ class SimService:
         """Spin up a cluster and wrap it (blocking process start)."""
         return cls(SimCluster(n_shards=n_shards, **cluster_kwargs))
 
-    async def _call(self, shard_id: int, verb: str,
-                    session_id: str = None, **args):
-        future = self.cluster.submit(shard_id, verb, session_id, **args)
-        reply = await asyncio.wait_for(
-            asyncio.wrap_future(future),
-            timeout=self.cluster.request_timeout)
-        return protocol.raise_if_error(reply)
+    async def call(self, verb: str, session_id: str = None,
+                   shard_id: int = None, **args):
+        """Send one shard verb and return its result.
 
-    def _shard_of(self, session_id: str) -> int:
-        return self.cluster.routing.shard_of(session_id)
+        Routed by ``session_id`` unless ``shard_id`` names the shard.
+        Raises the reply's typed error, or
+        :class:`~repro.serve.protocol.ShardTimeoutError` when no reply
+        arrives within the cluster's ``request_timeout``.
+        """
+        cluster = self.cluster
+        future = cluster.submit(shard_id, verb, session_id, **args)
+        try:
+            reply = await asyncio.wait_for(
+                asyncio.wrap_future(future),
+                timeout=cluster.request_timeout)
+        except asyncio.TimeoutError:
+            cluster.abandon(future)
+            raise protocol.ShardTimeoutError(
+                f"no reply to {verb!r} (session {session_id!r}) within "
+                f"{cluster.request_timeout}s") from None
+        return protocol.raise_if_error(reply)
 
     # -- session verbs --------------------------------------------------
     async def create_session(self, session_id: str, spec) -> dict:
+        """Create ``session_id`` from a SessionSpec (or its dict)."""
         spec_dict = spec if isinstance(spec, dict) else spec.to_dict()
-        return await self._call(self._shard_of(session_id), "create",
-                                session_id, spec=spec_dict)
+        return await self.call("create", session_id, spec=spec_dict)
 
     async def step(self, session_id: str, frames: int = 1) -> dict:
-        return await self._call(self._shard_of(session_id), "step",
-                                session_id, frames=frames)
+        return await self.call("step", session_id, frames=frames)
 
     async def query(self, session_id: str) -> dict:
-        return await self._call(self._shard_of(session_id), "query",
-                                session_id)
+        return await self.call("query", session_id)
 
     async def checkpoint(self, session_id: str) -> dict:
-        return await self._call(self._shard_of(session_id),
-                                "checkpoint", session_id)
+        return await self.call("checkpoint", session_id)
 
     async def restore_session(self, session_id: str, payload: dict,
                               shard_id: int = None) -> dict:
-        if shard_id is None:
-            shard_id = self._shard_of(session_id)
-        result = await self._call(shard_id, "restore", session_id,
-                                  payload=payload)
-        self.cluster.routing.assign(session_id, shard_id)
-        return result
+        """Restore a checkpoint as ``session_id``; optionally pin it to
+        an explicit shard (the migration path)."""
+        return await self.call("restore", session_id, shard_id,
+                               payload=payload)
 
     async def destroy(self, session_id: str) -> dict:
-        result = await self._call(self._shard_of(session_id),
-                                  "destroy", session_id)
-        self.cluster.routing.forget(session_id)
-        return result
+        return await self.call("destroy", session_id)
 
+    # -- composite verbs ------------------------------------------------
     async def migrate(self, session_id: str,
                       target_shard: int) -> dict:
-        """checkpoint -> destroy -> restore, without blocking the loop
-        for other sessions' traffic."""
-        source_shard = self._shard_of(session_id)
-        if target_shard == source_shard:
+        """Move a live session: checkpoint -> destroy -> restore.
+
+        The checkpoint carries the full build state and uid base, so
+        the restored session continues bit-identically on the target;
+        other sessions' traffic interleaves between the three hops.
+        """
+        if target_shard == self.cluster.routing.shard_of(session_id):
             return await self.query(session_id)
-        payload = await self._call(source_shard, "checkpoint",
-                                   session_id)
-        await self._call(source_shard, "destroy", session_id)
+        payload = await self.checkpoint(session_id)
+        await self.destroy(session_id)
         return await self.restore_session(session_id, payload,
                                           target_shard)
 
     async def stats(self) -> dict:
-        from .metrics import merge_snapshots
+        """Cluster-wide metrics: per-shard snapshots plus the merge."""
         snapshots = await asyncio.gather(*(
-            self._call(shard_id, "stats")
+            self.call("stats", shard_id=shard_id)
             for shard_id in range(self.cluster.n_shards)))
         return merge_snapshots(list(snapshots))
 
@@ -120,26 +130,13 @@ class SimService:
         session_id = msg.get("session_id")
         args = msg.get("args") or {}
         try:
-            if verb == "create":
-                result = await self.create_session(session_id,
-                                                   args["spec"])
-            elif verb == "step":
-                result = await self.step(session_id,
-                                         int(args.get("frames", 1)))
-            elif verb == "query":
-                result = await self.query(session_id)
-            elif verb == "checkpoint":
-                result = await self.checkpoint(session_id)
-            elif verb == "restore":
-                result = await self.restore_session(
-                    session_id, args["payload"], args.get("shard_id"))
-            elif verb == "destroy":
-                result = await self.destroy(session_id)
-            elif verb == "migrate":
+            if verb == "migrate":
                 result = await self.migrate(session_id,
                                             int(args["target_shard"]))
             elif verb == "stats":
                 result = await self.stats()
+            elif verb in protocol.SESSION_VERBS:
+                result = await self.call(verb, session_id, **args)
             else:
                 raise protocol.UnknownVerbError(
                     f"unknown verb {verb!r}")

@@ -2,18 +2,20 @@
 
 A worker owns a disjoint set of sessions and drives them through
 *frame rounds* instead of a global barrier: each round advances every
-session that has pending step work by one rendered frame, batching the
-eligible ones (numpy backend, unguarded, healthy) through a single
-packed :class:`~repro.api.SessionGroup` solve and stepping the rest
-solo. Commands arrive on the shard's bounded inbox and queue per
-session in strict FIFO order — two shards never wait on each other.
+session that has pending step work by one rendered frame. Which of
+them share a packed solve is not decided here: the round hands its
+sessions to :class:`~repro.api.SessionGroup` and steps the cohorts it
+returns, timing each and sharing the time among its members. Commands
+arrive on the shard's bounded inbox and queue per session in strict
+FIFO order — two shards never wait on each other.
 
 Graceful degradation is per session:
 
-* sessions with a watchdog spec step solo under the rollback ladder;
+* sessions with a watchdog spec step solo under the rollback ladder
+  (the ``SessionGroup`` rule);
 * sessions whose frames run persistently slow are *quarantined* — they
-  leave the packed batch (so they stop inflating everyone's round) and
-  step only every ``quarantine_backoff``-th round at degraded FPS,
+  leave the round's cohorts (so they stop inflating everyone's round)
+  and step only every ``quarantine_backoff``-th round at degraded FPS,
   returning once they sustain fast frames again;
 * the bounded inbox turns overload into a typed
   :class:`~repro.serve.protocol.BackpressureError` at the front-end
@@ -30,18 +32,20 @@ from . import protocol
 from .metrics import ShardMetrics, now
 
 
+#: How long an idle worker blocks on its inbox before looking again.
+IDLE_POLL_SECONDS = 0.02
+
+
 class ShardOptions:
     """Worker tuning knobs (picklable; travels to spawned workers)."""
 
     def __init__(self, slow_frame_seconds: float = 0.25,
                  quarantine_after: int = 3, release_after: int = 2,
-                 quarantine_backoff: int = 4,
-                 idle_poll_seconds: float = 0.02):
+                 quarantine_backoff: int = 4):
         self.slow_frame_seconds = slow_frame_seconds
         self.quarantine_after = quarantine_after
         self.release_after = release_after
         self.quarantine_backoff = max(1, quarantine_backoff)
-        self.idle_poll_seconds = idle_poll_seconds
 
 
 class SessionRuntime:
@@ -87,8 +91,7 @@ class ShardWorker:
             if self._has_step_work():
                 batch.append(inbox.get_nowait())
             else:
-                batch.append(
-                    inbox.get(timeout=self.options.idle_poll_seconds))
+                batch.append(inbox.get(timeout=IDLE_POLL_SECONDS))
             while True:
                 batch.append(inbox.get_nowait())
         except queue.Empty:
@@ -187,6 +190,16 @@ class ShardWorker:
                 self.metrics.count("sessions_destroyed")
                 outbox.put(protocol.ok_reply(
                     req_id, self._describe(runtime)))
+                # No round will visit this runtime again: refuse what
+                # was queued behind the destroy now, in order.
+                while runtime.pending:
+                    late = runtime.pending.popleft()
+                    self.metrics.count("errors")
+                    outbox.put(protocol.error_reply(
+                        late.get("req_id", -1),
+                        protocol.UnknownSessionError(
+                            f"session {runtime.session_id!r} was "
+                            f"destroyed before {late['verb']!r} ran")))
             else:
                 outbox.put(protocol.error_reply(
                     req_id, protocol.UnknownVerbError(
@@ -196,44 +209,26 @@ class ShardWorker:
     def _frame_round(self, outbox):
         """Advance every stepping session by one rendered frame."""
         self.round_index += 1
-        backoff = self.options.quarantine_backoff
-        batched, solo = [], []
+        # Degraded cadence: a quarantined session gets a probe frame
+        # every ``quarantine_backoff`` rounds, on its own.
+        probing = self.round_index % self.options.quarantine_backoff == 0
+        due = {}  # session -> runtime, for everything stepping this round
         for runtime in self.sessions.values():
-            if runtime.step_job is None:
-                continue
-            if runtime.quarantined:
-                # Degraded cadence: a probe frame every backoff rounds.
-                if self.round_index % backoff == 0:
-                    solo.append(runtime)
-                continue
-            session = runtime.session
-            if session._guard is None \
-                    and session.world.backend == "numpy":
-                batched.append(runtime)
-            else:
-                solo.append(runtime)
-
-        groups = {}
-        for runtime in batched:
-            config = runtime.session.world.config
-            key = (config.substeps_per_frame, config.solver_iterations)
-            groups.setdefault(key, []).append(runtime)
-        for key in sorted(groups):
-            members = groups[key]
-            if len(members) == 1:
-                solo.append(members[0])
-                continue
-            group = SessionGroup(rt.session for rt in members)
+            if runtime.step_job is not None \
+                    and (probing or not runtime.quarantined):
+                due[runtime.session] = runtime
+        healthy = SessionGroup(session for session, runtime in due.items()
+                               if not runtime.quarantined)
+        probes = [[session] for session, runtime in due.items()
+                  if runtime.quarantined]
+        for cohort in healthy.cohorts() + probes:
+            # One clock per cohort; its members share the wall time.
             start = now()
-            group.step(1)
-            share = (now() - start) / len(members)
-            for runtime in members:
-                self._frame_done(runtime, share, True, outbox)
-
-        for runtime in solo:
-            start = now()
-            runtime.session.step(1)
-            self._frame_done(runtime, now() - start, False, outbox)
+            SessionGroup.step_cohort(cohort)
+            share = (now() - start) / len(cohort)
+            for session in cohort:
+                self._frame_done(due[session], share, len(cohort) > 1,
+                                 outbox)
 
     def _frame_done(self, runtime: SessionRuntime, seconds: float,
                     batched: bool, outbox):

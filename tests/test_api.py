@@ -1,5 +1,5 @@
 """The session-first public API: SessionSpec, Session, SessionGroup,
-the one way to construct a World, and dynamic BatchWorld membership."""
+the one way to construct a World, and the SessionGroup packing rule."""
 
 import json
 import warnings
@@ -121,12 +121,39 @@ class TestSessionGroup:
         assert removed.state_digest() == solos[1].state_digest()
         assert grouped[2].state_digest() == solos[2].state_digest()
 
-    def test_batchworld_rejects_duplicate_membership(self):
+    def test_mixed_group_packs_by_cohort_and_matches_solo(
+            self, monkeypatch):
+        """The one packing rule: unguarded sessions sharing a kernel
+        set, solver_iterations and substeps_per_frame share a fleet;
+        everyone else steps through ``Session.step``; every member
+        lands on its solo twin's digest."""
         from repro.fastpath import BatchWorld
-        session = Session.create(spec())
-        batch = BatchWorld([session.world])
-        with pytest.raises(ValueError):
-            batch.add_world(session.world)
+        specs = [spec(seed=0), spec(seed=1),
+                 spec(seed=2, backend="scalar"),
+                 spec(seed=3, backend="scalar"),
+                 spec(seed=4, config={"solver_iterations": 10}),
+                 spec(seed=5, watchdog=True)]
+        grouped = [Session.create(s) for s in specs]
+        group = SessionGroup(grouped)
+        assert [len(c) for c in group.cohorts()] == [2, 2, 1, 1]
+
+        fleets = []
+        step_frame = BatchWorld.step_frame
+
+        def counting(batch, drivers=None):
+            fleets.append(len(batch))
+            return step_frame(batch, drivers)
+
+        monkeypatch.setattr(BatchWorld, "step_frame", counting)
+        group.step(3)
+        assert fleets == [2, 2] * 3  # once per packed cohort per frame
+
+        for session, twin_spec in zip(grouped, specs):
+            twin = Session.create(twin_spec)
+            twin.step(3)
+            assert session.state_digest() == twin.state_digest()
+            assert session.frame_index == 3
+            assert len(session.reports) == 3
 
     def test_group_rejects_duplicate_membership_unchanged(self):
         """A refused ``add`` leaves the group as it was: one entry per
@@ -148,3 +175,46 @@ class TestSessionGroup:
         group.step(4)
         solo.step(4)
         assert guarded.state_digest() == solo.state_digest()
+
+
+def test_guarded_recorder_and_session_share_the_frame_loop():
+    """``TrajectoryRecorder.record(stepper=guard.step)`` and a
+    watchdog ``Session.step`` are the same ``World.step_frame`` loop:
+    same frames (uids aside: the session draws its own), same
+    rollbacks, same frame count."""
+    from repro.engine.recorder import TrajectoryRecorder
+    from repro.fastpath import default_backend
+    from repro.resilience import (Fault, FaultInjector, FaultSchedule,
+                                  StepWatchdog)
+    from repro.workloads.benchmarks import get_benchmark
+
+    fault = {"step": 3, "kind": "huge_impulse", "persistent": False}
+    session = Session.create(spec(seed=2, watchdog=True, faults=[fault]))
+    served = TrajectoryRecorder(session.world)
+    served.snapshot()
+    for _ in range(3):
+        session.step(1)
+        served.snapshot()
+
+    with default_backend("numpy"):
+        world, scene_driver = get_benchmark("periodic").build(scale=0.05,
+                                                              seed=2)
+    injector = FaultInjector(
+        world, FaultSchedule([Fault(3, "huge_impulse", False)]), seed=2)
+
+    def driver():
+        if scene_driver is not None:
+            scene_driver()
+        injector.tick()
+
+    guard = StepWatchdog(world)
+    recorded = TrajectoryRecorder(world).record(3, driver,
+                                                stepper=guard.step)
+
+    def poses(recorder):
+        return [[state[1:] for state in frame]
+                for frame in recorder.frames]
+
+    assert poses(recorded) == poses(served)
+    assert world.frame_index == session.frame_index == 3
+    assert len(guard.health) == len(session.health) >= 1

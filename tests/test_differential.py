@@ -91,32 +91,23 @@ def test_batch_world_matches_solo_stepping():
 
     worlds, drivers = _build_fleet(4)
     batch = BatchWorld(worlds)
-    assert batch._batchable()
     recs = _record_batch(batch, drivers, frames)
     for seed, (a, b) in enumerate(zip(solo, recs)):
         div = trajectory_divergence(a, b)
         assert div == 0.0, f"world seed={seed} diverged by {div}"
 
 
-def test_batch_world_mixed_backends_falls_back():
-    """A fleet that can't pack still steps every world correctly."""
-    frames = 6
-    solo = []
-    for seed, backend in enumerate(["scalar", "numpy"]):
+def test_batch_world_rejects_mixed_fleet():
+    """``BatchWorld`` takes a uniform fleet; sorting worlds into
+    fleets is ``SessionGroup``'s job (its mixed-group test in
+    ``tests/test_api.py`` holds the every-world-matches-solo half)."""
+    worlds = []
+    for backend in ("scalar", "numpy"):
         with default_backend(backend):
-            world, driver = BENCHMARKS["ragdoll"].build(scale=0.03,
-                                                        seed=seed)
-        solo.append(TrajectoryRecorder(world).record(frames, driver))
-
-    worlds, drivers = [], []
-    for seed, backend in enumerate(["scalar", "numpy"]):
-        with default_backend(backend):
-            world, driver = BENCHMARKS["ragdoll"].build(scale=0.03,
-                                                        seed=seed)
+            world, _driver = BENCHMARKS["ragdoll"].build(scale=0.03,
+                                                         seed=0)
         worlds.append(world)
-        drivers.append(driver)
-    batch = BatchWorld(worlds)
-    assert not batch._batchable()
-    recs = _record_batch(batch, drivers, frames)
-    for a, b in zip(solo, recs):
-        assert trajectory_divergence(a, b) == 0.0
+    with pytest.raises(ValueError):
+        BatchWorld(worlds)
+    with pytest.raises(ValueError):
+        BatchWorld([])

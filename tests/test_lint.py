@@ -1,4 +1,4 @@
-"""PaxLint: per-rule fixtures, suppression/baseline mechanics, the
+"""PaxLint: per-rule fixtures, suppression mechanics, the
 self-lint gate, and the PAX201/PAX202 contract-regression demos.
 
 Every rule gets at least one snippet that must trigger and one that
@@ -15,7 +15,6 @@ import textwrap
 import pytest
 
 from repro.lint import all_rules, lint_paths
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main as lint_main
 
 REPO_SRC = os.path.join(
@@ -429,42 +428,6 @@ def test_reasonless_suppression_does_not_silence(tmp_path):
     assert len(hits) == 1 and not hits[0].suppressed
 
 
-# -- baseline -----------------------------------------------------------
-
-def test_baseline_absorbs_known_findings(tmp_path):
-    root = str(tmp_path)
-    write_module(root, "repro/__init__.py", "")
-    write_module(root, "repro/engine/mod.py",
-                 "def f(g):\n    return id(g)\n")
-    pkg = os.path.join(root, "repro")
-    first = lint_paths([pkg], select=["PAX102"])
-    assert len(active(first.findings)) == 1
-    base = Baseline.from_findings(first.findings)
-    second = lint_paths([pkg], select=["PAX102"], baseline=base)
-    assert second.exit_code == 0
-    assert len(second.baselined) == 1
-    # a *new* finding still fails
-    write_module(root, "repro/engine/mod.py",
-                 "def f(g):\n    return id(g)\n\n"
-                 "def h(g):\n    return id(g) + 1\n")
-    third = lint_paths([pkg], select=["PAX102"], baseline=base)
-    assert third.exit_code == 1
-    assert len(third.active) == 1
-
-
-def test_baseline_roundtrip(tmp_path):
-    path = str(tmp_path / "base.json")
-    finding_src = str(tmp_path)
-    write_module(finding_src, "repro/__init__.py", "")
-    write_module(finding_src, "repro/engine/mod.py",
-                 "bad = id(object())\n")
-    result = lint_paths([os.path.join(finding_src, "repro")],
-                        select=["PAX102"])
-    Baseline.from_findings(result.findings).save(path)
-    loaded = Baseline.load(path)
-    assert sum(loaded.counts.values()) == 1
-
-
 # -- CLI ----------------------------------------------------------------
 
 def test_cli_explain_covers_every_rule(capsys):
@@ -481,8 +444,7 @@ def test_cli_json_format_and_exit_codes(tmp_path, capsys):
     write_module(root, "repro/engine/mod.py",
                  "bad = id(object())\n")
     pkg = os.path.join(root, "repro")
-    code = lint_main([pkg, "--format", "json", "--no-baseline",
-                      "--select", "PAX102"])
+    code = lint_main([pkg, "--format", "json", "--select", "PAX102"])
     data = json.loads(capsys.readouterr().out)
     assert code == 1
     assert data["counts"]["new"] == 1

@@ -10,7 +10,7 @@ import pytest
 from repro.api import Session, SessionSpec
 from repro.serve import (BackpressureError, FrameTimeHistogram,
                          RoutingTable, SessionExistsError, ShardOptions,
-                         ShardWorker, SimCluster, SimService,
+                         ShardTimeoutError, ShardWorker, SimService,
                          UnknownSessionError, merge_snapshots,
                          serve_tcp, shard_for)
 from repro.serve import protocol
@@ -141,83 +141,176 @@ class TestQuarantineLadder:
         assert not runtime.quarantined
 
 
+# -- units: one worker, driven in-process --------------------------------
+class Outbox(list):
+    """``outbox.put`` of a ``ShardWorker`` used without its process."""
+
+    put = list.append
+
+
+class TestShardWorker:
+    def test_commands_queued_behind_destroy_are_refused_in_order(self):
+        worker, outbox = ShardWorker(0), Outbox()
+        worker._dispatch(protocol.request(
+            0, "create", "s", spec=spec().to_dict()), outbox)
+        for req_id, verb in enumerate(
+                ("step", "destroy", "query", "step", "query"), start=1):
+            worker._dispatch(protocol.request(req_id, verb, "s"), outbox)
+        while worker._has_step_work():
+            worker._frame_round(outbox)
+        # Every request is answered exactly once, in FIFO order; what
+        # was queued behind the destroy names the missing session.
+        assert [reply["req_id"] for reply in outbox] == [0, 1, 2, 3, 4, 5]
+        assert [reply["ok"] for reply in outbox] == [True] * 3 \
+            + [False] * 3
+        for reply in outbox[3:]:
+            with pytest.raises(UnknownSessionError):
+                protocol.raise_if_error(reply)
+        assert worker.sessions == {}
+        assert worker.metrics.counters["errors"] == 3
+
+    def test_round_packs_scalar_sessions_too(self):
+        """Which sessions share a solve is ``SessionGroup``'s rule, and
+        that rule does not name a backend."""
+        worker, outbox = ShardWorker(0), Outbox()
+        twins = []
+        for seed in (0, 1):
+            scalar_spec = spec(seed=seed, backend="scalar")
+            worker._dispatch(protocol.request(
+                seed, "create", f"s{seed}", spec=scalar_spec.to_dict()),
+                outbox)
+            worker._dispatch(protocol.request(
+                10 + seed, "step", f"s{seed}"), outbox)
+            twins.append(Session.create(scalar_spec))
+        worker._frame_round(outbox)
+        assert not worker._has_step_work()
+        assert worker.metrics.counters["batched_frames"] == 2
+        for seed, twin in enumerate(twins):
+            twin.step(1)
+            served = worker.sessions[f"s{seed}"].session
+            assert served.state_digest() == twin.state_digest()
+
+
 # -- end-to-end: cluster -------------------------------------------------
+def serve(scenario, **cluster_kwargs):
+    """Run ``scenario(service)`` against a fresh cluster."""
+    async def main():
+        async with SimService.start(**cluster_kwargs) as service:
+            return await scenario(service)
+    return asyncio.run(main())
+
+
 class TestCluster:
     def test_lifecycle_and_typed_errors(self):
-        with SimCluster(n_shards=2, backlog=16) as cluster:
-            cluster.create_session("a", spec(seed=0))
+        async def scenario(service):
+            await service.create_session("a", spec(seed=0))
             with pytest.raises(SessionExistsError):
-                cluster.create_session("a", spec(seed=0))
-            result = cluster.step("a", frames=3)
+                await service.create_session("a", spec(seed=0))
+            result = await service.step("a", frames=3)
             assert result["frame_index"] == 3
-            status = cluster.query("a")
+            status = await service.query("a")
             assert status["frame_index"] == 3
             assert len(status["digest"]) == 64
             with pytest.raises(UnknownSessionError):
-                cluster.step("ghost")
-            cluster.destroy("a")
+                await service.step("ghost")
+            await service.destroy("a")
             with pytest.raises(UnknownSessionError):
-                cluster.query("a")
+                await service.query("a")
+
+        serve(scenario, n_shards=2, backlog=16)
 
     def test_serve_matches_local_session(self):
-        with SimCluster(n_shards=2) as cluster:
-            cluster.create_session("x", spec(seed=4))
-            cluster.step("x", frames=5)
-            served = cluster.query("x")["digest"]
+        async def scenario(service):
+            await service.create_session("x", spec(seed=4))
+            await service.step("x", frames=5)
+            return (await service.query("x"))["digest"]
+
+        served = serve(scenario, n_shards=2)
         local = Session.create(spec(seed=4))
         local.step(5)
         assert served == local.state_digest()
 
     def test_migration_is_bit_identical(self):
-        with SimCluster(n_shards=2) as cluster:
-            cluster.create_session("m", spec("explosions", scale=0.05))
-            cluster.step("m", frames=4)
-            source = cluster.routing.shard_of("m")
+        async def scenario(service):
+            routing = service.cluster.routing
+            await service.create_session(
+                "m", spec("explosions", scale=0.05))
+            await service.step("m", frames=4)
+            source = routing.shard_of("m")
             target = (source + 1) % 2
-            moved = cluster.migrate("m", target)
+            moved = await service.migrate("m", target)
             assert moved["shard_id"] == target
-            assert cluster.routing.shard_of("m") == target
-            cluster.step("m", frames=4)
-            served = cluster.query("m")["digest"]
-            stats = cluster.stats()
+            assert routing.shard_of("m") == target
+            await service.step("m", frames=4)
+            served = (await service.query("m"))["digest"]
+            stats = await service.stats()
             assert stats["counters"]["sessions_restored"] == 1
+            await service.destroy("m")
+            assert routing.overrides == {}
+            return served
+
+        served = serve(scenario, n_shards=2)
         twin = Session.create(spec("explosions", scale=0.05))
         twin.step(8)
         assert served == twin.state_digest()
 
     def test_full_inbox_raises_backpressure(self):
-        with SimCluster(n_shards=1, backlog=1) as cluster:
-            cluster.create_session("busy", spec(scale=0.05))
+        async def scenario(service):
+            cluster = service.cluster
+            await service.create_session("busy", spec(scale=0.05))
             futures = [cluster.submit(0, "step", "busy", frames=30)]
             with pytest.raises(BackpressureError):
                 for _ in range(500):
                     futures.append(cluster.submit(0, "query", "busy"))
             for future in futures:
-                protocol.raise_if_error(future.result(timeout=120))
+                protocol.raise_if_error(
+                    await asyncio.wait_for(asyncio.wrap_future(future),
+                                           timeout=120))
+
+        serve(scenario, n_shards=1, backlog=1)
 
     def test_slow_session_is_quarantined_but_completes(self):
-        options = ShardOptions(slow_frame_seconds=0.0,
-                               quarantine_after=2,
-                               quarantine_backoff=2)
-        with SimCluster(n_shards=1, shard_options=options) as cluster:
-            cluster.create_session("slow", spec(seed=1))
-            result = cluster.step("slow", frames=6)
+        async def scenario(service):
+            await service.create_session("slow", spec(seed=1))
+            result = await service.step("slow", frames=6)
             assert result["frame_index"] == 6
             assert result["quarantined"]
-            stats = cluster.shard_stats(0)
+            stats = await service.call("stats", shard_id=0)
             assert stats["counters"]["quarantines"] >= 1
+
+        serve(scenario, n_shards=1, shard_options=ShardOptions(
+            slow_frame_seconds=0.0, quarantine_after=2,
+            quarantine_backoff=2))
 
     def test_watchdog_session_reports_events(self):
         faults = [{"step": 3, "kind": "huge_impulse",
                    "persistent": False}]
-        with SimCluster(n_shards=1) as cluster:
-            cluster.create_session(
+
+        async def scenario(service):
+            await service.create_session(
                 "w", spec(scale=0.05, watchdog=True, faults=faults))
-            result = cluster.step("w", frames=4)
+            result = await service.step("w", frames=4)
             assert result["watchdog_events"] >= 1
-            stats = cluster.shard_stats(0)
+            stats = await service.call("stats", shard_id=0)
             assert stats["counters"]["watchdog_events"] >= 1
             assert stats["counters"]["solo_frames"] == 4
+
+        serve(scenario, n_shards=1)
+
+    def test_silent_shard_surfaces_as_shard_timeout(self):
+        async def scenario(service):
+            await service.create_session("t", spec(scale=0.05))
+            service.cluster.request_timeout = 0.05
+            with pytest.raises(ShardTimeoutError):
+                await service.step("t", frames=10**6)
+            assert service.cluster._pending == {}
+            reply = await service.handle_message(
+                {"req_id": 9, "verb": "query", "session_id": "t"})
+            assert reply["req_id"] == 9 and reply["ok"] is False
+            assert reply["error"]["type"] == "ShardTimeoutError"
+            assert service.cluster._pending == {}
+
+        serve(scenario, n_shards=1)
 
 
 # -- end-to-end: asyncio front-end --------------------------------------
