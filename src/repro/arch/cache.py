@@ -18,36 +18,27 @@ island's rows 20 times) are handled analytically: after the first
 sweep, every subsequent sweep of an F-block footprint re-references at
 stack distance ~F, so the remaining ``(repeat-1) * F`` accesses go
 straight into the histogram without being replayed.
+
+:meth:`StackDistanceProfile.from_report` is memoised process-wide per
+report (held weakly; dropped once the report's touch trace grows), so
+machines, figure drivers and :mod:`repro.arch.waypart` share one pass
+per trace. The profiles it hands out are shared: read, don't mutate.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left
+from itertools import accumulate
+
 from ..profiling import memtrace
+from ..profiling.report import PHASES
 
 BLOCK = 64
 
-
-class _Fenwick:
-    """Prefix-sum tree over access timestamps."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, delta: int):
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        # sum of [0, i]
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
+# report -> (touch groups recorded when profiled,
+#            {(phase set, label_by_phase): StackDistanceProfile})
+_profiles = weakref.WeakKeyDictionary()
 
 
 class StackDistanceProfile:
@@ -58,17 +49,26 @@ class StackDistanceProfile:
         self.histograms = {}
         self.cold = {}
         self.accesses = {}
-        self._finalized = None
+        # label -> (sorted distances, accesses at or beyond each).
+        self._beyond = {}
 
     # -- building -------------------------------------------------------
     @classmethod
     def from_report(cls, report, phases=None, label_by_phase=True):
-        """Profile the pipeline-ordered trace of a FrameReport."""
-        groups = [
-            (phase if label_by_phase else "all", group)
-            for phase, group in memtrace.step_groups(report, phases)
-        ]
-        return cls.from_groups(groups)
+        """Profile the pipeline-ordered trace of a FrameReport
+        (memoised; ``phases`` is a set, ``None`` meaning all five)."""
+        wanted = frozenset(PHASES if phases is None else phases)
+        recorded = sum(map(len, report.step_touches))
+        entry = _profiles.get(report)
+        if entry is None or entry[0] != recorded:
+            entry = _profiles[report] = (recorded, {})
+        key = (wanted, label_by_phase)
+        profile = entry[1].get(key)
+        if profile is None:
+            profile = entry[1][key] = cls.from_groups(
+                (phase if label_by_phase else "all", group)
+                for phase, group in memtrace.step_groups(report, wanted))
+        return profile
 
     @classmethod
     def from_groups(cls, labelled_groups):
@@ -82,42 +82,53 @@ class StackDistanceProfile:
             sweeps.append((label, blocks, group.repeat - 1))
             total += len(blocks)
 
-        bit = _Fenwick(total)
+        # Fenwick tree over access times, one mark at the latest access
+        # of every block seen so far: the marks after ``prev`` are the
+        # distinct blocks touched since, i.e. the stack distance.
+        tree = [0] * (total + 1)
         last_time = {}
         t = 0
         for label, blocks, extra in sweeps:
             hist = self.histograms.setdefault(label, {})
+            cold = 0
             for block in blocks:
+                t += 1
                 prev = last_time.get(block)
                 if prev is None:
-                    self.cold[label] = self.cold.get(label, 0) + 1
+                    cold += 1
                 else:
-                    d = bit.prefix(t - 1) - bit.prefix(prev)
+                    d = len(last_time)
+                    i = prev
+                    while i > 0:
+                        d -= tree[i]
+                        i -= i & -i
                     hist[d] = hist.get(d, 0) + 1
-                    bit.add(prev, -1)
-                bit.add(t, 1)
+                    i = prev
+                    while i <= total:
+                        tree[i] -= 1
+                        i += i & -i
+                i = t
+                while i <= total:
+                    tree[i] += 1
+                    i += i & -i
                 last_time[block] = t
-                t += 1
+            if cold:
+                self.cold[label] = self.cold.get(label, 0) + cold
             self.accesses[label] = (self.accesses.get(label, 0)
                                     + len(blocks) * (extra + 1))
             if extra > 0:
                 footprint = len(set(blocks))
                 hist[footprint] = (hist.get(footprint, 0)
                                    + extra * len(blocks))
+        for label, hist in self.histograms.items():
+            dists = sorted(hist)
+            beyond = list(accumulate(hist[d] for d in reversed(dists)))[::-1]
+            self._beyond[label] = (dists, beyond + [0])
         return self
 
     # -- queries --------------------------------------------------------
-    def _finalize(self):
-        if self._finalized is None:
-            self._finalized = {
-                label: sorted(hist.items())
-                for label, hist in self.histograms.items()
-            }
-        return self._finalized
-
     def labels(self):
-        keys = set(self.histograms) | set(self.cold)
-        return sorted(keys)
+        return sorted(self.histograms)
 
     def misses(self, capacity_bytes: float, labels=None) -> float:
         """Accesses (by the given labels) that miss in a fully
@@ -125,12 +136,11 @@ class StackDistanceProfile:
         lines = max(1, int(capacity_bytes) // BLOCK)
         wanted = self.labels() if labels is None else labels
         total = 0
-        fin = self._finalize()
         for label in wanted:
             total += self.cold.get(label, 0)
-            for dist, count in fin.get(label, ()):
-                if dist >= lines:
-                    total += count
+            if label in self._beyond:
+                dists, beyond = self._beyond[label]
+                total += beyond[bisect_left(dists, lines)]
         return float(total)
 
     def total_accesses(self, labels=None) -> float:

@@ -159,20 +159,8 @@ class ParallaxMachine:
 
     def __init__(self, config: ParallaxConfig = None):
         self.config = config if config is not None else ParallaxConfig()
-        # (id(report), phase-group) -> StackDistanceProfile; the report
-        # reference is kept so ids cannot be recycled under us.
-        self._profiles = {}
 
     # -- cache profiles -------------------------------------------------
-    def _profile(self, report, phases=None) -> StackDistanceProfile:
-        key = (id(report), None if phases is None else tuple(phases))
-        entry = self._profiles.get(key)
-        if entry is None:
-            profile = StackDistanceProfile.from_report(report, phases)
-            self._profiles[key] = (report, profile)
-            return profile
-        return entry[1]
-
     def _coverage(self, phase) -> float:
         cov = self.config.prefetch_coverage
         if cov is None:
@@ -186,7 +174,7 @@ class ParallaxMachine:
         group, slice_bytes = self.config.l2.slice_for(phase)
         if l2_bytes is not None:
             slice_bytes = l2_bytes
-        profile = self._profile(report, group)
+        profile = StackDistanceProfile.from_report(report, group)
         accesses = profile.total_accesses((phase,))
         misses = profile.misses(slice_bytes, (phase,))
         if l2_bytes is None and len(self.config.l2.slices) > 1:
@@ -195,7 +183,7 @@ class ParallaxMachine:
             # phase's misses by a fully shared cache of the total size
             # so producer->consumer reuse across slices is not charged
             # as cold misses.
-            shared = self._profile(report, None)
+            shared = StackDistanceProfile.from_report(report)
             misses = min(misses, shared.misses(
                 self.config.l2.total_bytes, (phase,)))
         return accesses, misses * (1.0 - self._coverage(phase))

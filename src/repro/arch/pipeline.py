@@ -15,6 +15,7 @@ in-order core, and a 16-wide "limit" core with a perfect predictor.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import kernels
@@ -91,65 +92,66 @@ def simulate_ipc(trace, design: CoreDesign, detail: bool = False):
     """Replay ``trace`` through the pipeline; returns IPC (or a stats
     dict when ``detail`` is set)."""
     n = len(trace)
-    if n == 0:
-        return {"ipc": 0.0, "cycles": 0} if detail else 0.0
     predictor = make_predictor(design.predictor)
     perfect = design.predictor == "perfect"
+    width, in_order = design.width, design.in_order
+    budget = {"int": design.int_units, "fp": design.fp_units,
+              "mem": design.mem_ports}
+    decoded = [(i.deps, _UNIT[i.op], LATENCY[i.op]) for i in trace]
 
-    done = [None] * n       # cycle the result is available
-    window = []             # indices in fetch order, not yet retired
-    issued = set()
-    fetch_ptr = 0
+    # Fetch and retire are in program order, so the ROB is the index
+    # range [retire_ptr, fetch_ptr); ``pending`` is its unissued part,
+    # oldest first. ``done`` is inf until issue: one test for readiness.
+    done = [math.inf] * n   # cycle the result is available
+    pending = []
+    retire_ptr = fetch_ptr = 0
     stall_until = -1        # fetch blocked until this instr resolves
     cycle = 0
     mispredicts = 0
-    budget = {"int": design.int_units, "fp": design.fp_units,
-              "mem": design.mem_ports}
 
-    while window or fetch_ptr < n:
-        # Retire (frees ROB entries fetched this cycle's limit ago).
-        retired = 0
-        while (window and retired < design.width
-               and window[0] in issued
-               and done[window[0]] <= cycle):
-            window.pop(0)
-            retired += 1
+    while retire_ptr < n:
+        # Retire (frees ROB entries for this cycle's fetch).
+        limit = min(retire_ptr + width, fetch_ptr)
+        while retire_ptr < limit and done[retire_ptr] <= cycle:
+            retire_ptr += 1
 
         # Issue.
         used = {"int": 0, "fp": 0, "mem": 0}
-        slots = design.width
-        for idx in window:
+        slots = width
+        waiting = []
+        stop = len(pending)     # entries from here on were not looked at
+        for pos, idx in enumerate(pending):
             if slots == 0:
+                stop = pos
                 break
-            if idx in issued:
-                continue
-            instr = trace[idx]
-            ready = all(done[d] is not None and done[d] <= cycle
-                        for d in instr.deps)
-            unit = _UNIT[instr.op]
-            if ready and used[unit] < budget[unit]:
-                issued.add(idx)
-                done[idx] = cycle + LATENCY[instr.op]
+            deps, unit, latency = decoded[idx]
+            for dep in deps:
+                if done[dep] > cycle:
+                    ready = False
+                    break
+            else:
+                ready = used[unit] < budget[unit]
+            if ready:
+                done[idx] = cycle + latency
                 used[unit] += 1
                 slots -= 1
-                if stall_until == idx:
-                    pass  # resolves at done[idx]; handled in fetch
-            elif design.in_order:
+            elif in_order:
+                stop = pos
                 break
+            else:
+                waiting.append(idx)
+        pending = waiting + pending[stop:]
 
         # Fetch.
-        if stall_until >= 0:
-            d = done[stall_until]
-            if d is not None and d <= cycle:
-                stall_until = -1
+        if stall_until >= 0 and done[stall_until] <= cycle:
+            stall_until = -1
         if stall_until < 0:
-            room = design.window - len(window)
-            grab = min(design.width, room, n - fetch_ptr)
-            for _ in range(grab):
-                idx = fetch_ptr
+            room = design.window - (fetch_ptr - retire_ptr)
+            for idx in range(fetch_ptr,
+                             fetch_ptr + min(width, room, n - fetch_ptr)):
                 instr = trace[idx]
-                window.append(idx)
-                fetch_ptr += 1
+                pending.append(idx)
+                fetch_ptr = idx + 1
                 if instr.op == "branch" and not perfect:
                     predicted = predictor.predict(instr.pc)
                     predictor.update(instr.pc, instr.taken)
@@ -159,7 +161,7 @@ def simulate_ipc(trace, design: CoreDesign, detail: bool = False):
                         break
         cycle += 1
 
-    ipc = n / cycle
+    ipc = n / cycle if cycle else 0.0
     if detail:
         branches = sum(1 for i in trace if i.op == "branch")
         return {

@@ -32,5 +32,6 @@ if settings is not None:
 def pytest_addoption(parser):
     parser.addoption(
         "--regen-golden", action="store_true", default=False,
-        help="rewrite the golden trajectory fixtures under "
-             "tests/fixtures/ instead of comparing against them")
+        help="rewrite the golden fixtures under tests/fixtures/ "
+             "(test_golden.py: trajectories; test_arch.py: pipeline "
+             "cycle counts) instead of comparing against them")

@@ -1,6 +1,8 @@
 """Unit tests for the architecture models against hand-computed traces."""
 
+import json
 import math
+import os
 
 import pytest
 
@@ -14,14 +16,22 @@ from repro.arch import (
     PCIE,
     ParallaxConfig,
     ParallaxMachine,
+    StackDistanceProfile,
     StaticPredictor,
     WayPartitionedCache,
     YagsPredictor,
     simulate_noc,
 )
 from repro.arch import arbiter, area, model2, osmodel
-from repro.arch.kernels import Instr
+from repro.arch.kernels import (
+    KERNEL_TRACE_PARAMS,
+    PHASE_TRACE_PARAMS,
+    Instr,
+    kernel_trace,
+    phase_trace,
+)
 from repro.arch.pipeline import simulate_ipc
+from repro.profiling.report import PHASES, FrameReport
 
 MB = 1024 * 1024
 
@@ -51,6 +61,42 @@ def test_cache_streaming_prefetch():
     # A linear stream is almost fully covered after the first miss.
     assert sim.misses < 100 * 0.3
     assert sim.prefetch_hits > 100 * 0.7
+
+
+def _touched_report():
+    report = FrameReport()
+    report.touch("broadphase", "geom", range(8))
+    report.touch("narrowphase", "geom", range(8))
+    report.touch("island_processing", "body", range(4), repeat=3)
+    return report
+
+
+def test_profile_is_shared_per_report_and_phase_set():
+    report = _touched_report()
+    everything = StackDistanceProfile.from_report(report)
+    assert StackDistanceProfile.from_report(report, PHASES) is everything
+    assert StackDistanceProfile.from_report(
+        report, tuple(reversed(PHASES))) is everything
+    narrow = StackDistanceProfile.from_report(report, ("narrowphase",))
+    assert narrow is not everything
+    assert narrow.labels() == ["narrowphase"]
+    assert StackDistanceProfile.from_report(
+        report, label_by_phase=False).labels() == ["all"]
+    assert StackDistanceProfile.from_report(
+        _touched_report()) is not everything
+
+
+def test_profile_sees_touches_recorded_after_profiling():
+    report = _touched_report()
+    machine = ParallaxMachine()
+    before = StackDistanceProfile.from_report(report)
+    cycles = machine.phase_cycles(report, "cloth")
+    report.touch("cloth", "clothvert", range(64))
+    after = StackDistanceProfile.from_report(report)
+    assert after is not before
+    assert before.total_accesses(("cloth",)) == 0
+    assert after.total_accesses(("cloth",)) == 48
+    assert machine.phase_cycles(report, "cloth") > cycles
 
 
 def test_waypart_strict_allocation():
@@ -119,6 +165,55 @@ def test_ipc_fdiv_chain_pays_full_latency():
 def test_ipc_in_order_width_one_cap():
     ipc = simulate_ipc(_independent(256), DESIGNS["shader"])
     assert 0.5 < ipc <= 1.0
+
+
+def test_ipc_empty_trace_detail_has_the_full_shape():
+    assert simulate_ipc([], DESIGNS["desktop"]) == 0.0
+    empty = simulate_ipc([], DESIGNS["desktop"], detail=True)
+    full = simulate_ipc(_chain(4), DESIGNS["desktop"], detail=True)
+    assert empty == {"ipc": 0.0, "cycles": 0, "instructions": 0,
+                     "mispredicts": 0, "branches": 0, "bp_accuracy": 1.0}
+    assert list(empty) == list(full)
+
+
+PIPELINE_GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures",
+    "arch_pipeline_golden.json")
+
+
+def _pipeline_stats():
+    """cycles/mispredicts/branches of every design on every kernel and
+    phase trace, at the model's default length and at a short odd one."""
+    out = {}
+    for n in (3000, 257):
+        traces = {f"kernel:{k}": kernel_trace(k, n=n)
+                  for k in KERNEL_TRACE_PARAMS}
+        traces.update({f"phase:{p}": phase_trace(p, n=n)
+                       for p in PHASE_TRACE_PARAMS})
+        for design in DESIGNS.values():
+            for name, trace in traces.items():
+                detail = simulate_ipc(trace, design, detail=True)
+                out[f"{design.name}/{name}/{n}"] = {
+                    key: detail[key]
+                    for key in ("cycles", "mispredicts", "branches")}
+    return out
+
+
+def test_pipeline_matches_golden_cycle_counts(request):
+    """The pipeline model is pinned cycle-exact: the fixture was written
+    by the scan-the-whole-ROB implementation that preceded the
+    index-range one. Regenerate deliberately with
+    ``python -m pytest tests/test_arch.py --regen-golden``."""
+    stats = _pipeline_stats()
+    if request.config.getoption("--regen-golden"):
+        with open(PIPELINE_GOLDEN, "w") as fh:
+            json.dump(stats, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        pytest.skip(f"regenerated {PIPELINE_GOLDEN}")
+    with open(PIPELINE_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 64
+    assert stats == golden
 
 
 # -- arbiter -----------------------------------------------------------
