@@ -5,8 +5,8 @@
 
 ``--features`` takes a comma-separated subset of the registry (or
 ``all``); ``--workloads`` takes Table 3 benchmark names (or
-``table3``/``all``).  ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_FRAMES``
-provide the defaults CI uses.
+``table3``/``all``).  Scores are modeled-FPS deltas on the paper's
+machine: two runs write byte-identical JSON, on any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -29,23 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workloads", default="table3",
                         help="comma-separated Table 3 workloads, or "
                              "'table3'/'all'")
-    parser.add_argument("--scale", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_BENCH_SCALE", "0.03")))
-    parser.add_argument("--frames", type=int,
-                        default=int(os.environ.get(
-                            "REPRO_BENCH_FRAMES", "4")))
+    parser.add_argument("--scale", type=float, default=0.03)
+    parser.add_argument("--frames", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: min(4, cores))")
-    parser.add_argument("--batch-n", type=int,
-                        default=int(os.environ.get(
-                            "REPRO_BENCH_BATCH", "4")),
-                        help="worlds packed per BatchWorld cell")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="simulate each cell N times, keep the "
-                             "fastest sample (non-timing metrics are "
-                             "identical across repeats)")
     parser.add_argument("--list", action="store_true",
                         help="list registered features and exit")
     parser.add_argument("--out", default="ablation.json")
@@ -65,8 +53,7 @@ def main(argv=None) -> int:
     config = AblationConfig(
         features=args.features, workloads=args.workloads,
         scale=args.scale, frames=args.frames, seed=args.seed,
-        jobs=args.jobs, batch_worlds=args.batch_n,
-        repeats=args.repeats)
+        jobs=args.jobs)
     runner = AblationRunner(config, registry)
     payload = runner.run(progress=lambda msg: print(f"# {msg}",
                                                     flush=True))
@@ -74,7 +61,8 @@ def main(argv=None) -> int:
 
     for name, feature in sorted(payload["features"].items()):
         summary = feature["summary"]
-        print(f"{name:16s} dfps {summary['mean_delta_fps_pct']:+7.1f}% "
+        print(f"{name:16s} modeled dfps "
+              f"{summary['mean_delta_modeled_fps_pct']:+7.2f}% "
               f"drows {summary['mean_delta_row_updates_pct']:+7.1f}% "
               f"digest {summary['digest_changed_workloads']}/"
               f"{summary['workloads']} "

@@ -3,16 +3,12 @@
 A :class:`Feature` names one mechanism the engine (or the modeled
 machine) can run without, and declares the *spec patch* that flips it
 relative to the registry baseline — the plain scalar-backend scenario
-with default :class:`~repro.engine.WorldConfig` tunables.  Three kinds:
+with default :class:`~repro.engine.WorldConfig` tunables.  Two kinds:
 
 ``engine``
     The patch changes how the simulation itself runs (a
     ``WorldConfig`` override, the backend, or the watchdog).  Toggled
     runs re-simulate and are compared against the feature's base run.
-``batch``
-    Like ``engine``, but the toggled run packs ``batch_worlds`` copies
-    of the workload through one :class:`~repro.fastpath.BatchWorld`
-    solve; throughput is per world-frame.
 ``arch``
     No re-simulation: the baseline run's recorded
     :class:`~repro.profiling.FrameReport` is re-priced through two
@@ -20,12 +16,15 @@ with default :class:`~repro.engine.WorldConfig` tunables.  Three kinds:
     the feature's cost is a modeled-FPS delta in the style of the
     paper's L2/prefetch studies.
 
+Either way the score is a modeled-FPS delta on the paper's machine,
+so it is exact and repeatable (``docs/ablation.md``).
+
 ``default_on`` records whether the patch *disables* a mechanism that
 is on by default (warm starting, CCD, SAP, L2 partitioning) or
 *enables* one that is off by default (auto-sleep, the numpy fast path,
-batch packing, the watchdog, prefetch); importance scores are reported
-with the same sign convention either way (positive Δfps = the toggled
-state is faster).
+the watchdog, prefetch); importance scores are reported with the same
+sign convention either way (positive Δ = the toggled state is faster
+on the modeled machine).
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ class Feature:
                  patch: dict = None, base_patch: dict = None,
                  workloads=None, default_on: bool = True,
                  arch_keys: tuple = None):
-        if kind not in ("engine", "batch", "arch"):
+        if kind not in ("engine", "arch"):
             raise ValueError(f"unknown feature kind {kind!r}")
         self.name = name
         self.description = description
         self.kind = kind
         #: Spec patch for the TOGGLED state: ``config`` (WorldConfig
-        #: overrides), ``backend``, ``watchdog``, ``batch``.
+        #: overrides), ``backend``, ``watchdog``.
         self.patch = dict(patch or {})
         #: Spec patch for this feature's reference state (defaults to
         #: the global baseline — empty patch).
@@ -62,7 +61,7 @@ class Feature:
         self._validate()
 
     def _validate(self):
-        known_keys = {"config", "backend", "watchdog", "batch"}
+        known_keys = {"config", "backend", "watchdog"}
         for patch in (self.patch, self.base_patch):
             unknown = set(patch) - known_keys
             if unknown:
@@ -82,9 +81,6 @@ class Feature:
         if self.kind != "arch" and self.arch_keys:
             raise ValueError(
                 f"feature {self.name!r}: arch_keys is arch-only")
-        if self.kind == "batch" and "batch" not in self.patch:
-            raise ValueError(
-                f"batch feature {self.name!r} needs a 'batch' patch key")
 
     def applicable(self, workload: str) -> bool:
         return self.workloads is None or workload in self.workloads
@@ -183,14 +179,6 @@ def default_registry() -> FeatureRegistry:
             "struct-of-arrays numpy kernels for the four hot loops; "
             "bit-identical to the scalar oracle by contract",
             patch={"backend": "numpy"},
-            default_on=False),
-        Feature(
-            "batch_packing",
-            "pack N independent numpy worlds' islands into one solver "
-            "call per frame (BatchWorld)",
-            kind="batch",
-            base_patch={"backend": "numpy"},
-            patch={"backend": "numpy", "batch": True},
             default_on=False),
         Feature(
             "watchdog",

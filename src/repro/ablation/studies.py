@@ -1,10 +1,9 @@
 """Focused single-mechanism ablation scenes.
 
 These are the four original ad-hoc ablation studies (warm starting,
-auto-sleep, CCD, broadphase strategy), extracted from the benchmark
-harness so that both ``python -m repro.analysis`` (which regenerates
-``results/ablation_*.txt``) and ``benchmarks/test_ablations.py`` (which
-asserts each mechanism is load-bearing) drive one implementation.
+auto-sleep, CCD, broadphase strategy).  ``python -m repro.analysis``
+regenerates ``results/ablation_*.txt`` from them and
+``tests/test_paper_shapes.py`` asserts each mechanism is load-bearing.
 
 Unlike the :class:`~repro.ablation.runner.AblationRunner` matrix —
 which toggles features on the Table 3 workloads and scores importance —

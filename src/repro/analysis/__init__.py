@@ -1,7 +1,7 @@
 """Figure/table regeneration: experiment drivers + CLI.
 
-``python -m repro.analysis --scale 0.12 --out results`` re-simulates
-the eight benchmarks and rewrites every figure and table file. The
+``python -m repro.analysis`` re-simulates the eight benchmarks and
+rewrites every figure and table file under ``results/``. The
 individual drivers live in :mod:`.experiments` (paper figures),
 :mod:`.extensions` (beyond-the-paper studies), :mod:`.tables`
 (Table 3/4) and :mod:`.calibrate`.

@@ -1,10 +1,13 @@
 """Regenerate every figure/table in ``results/`` from one command.
 
-    PYTHONPATH=src python -m repro.analysis --scale 0.12 --out results
+    PYTHONPATH=src python -m repro.analysis
 
 Simulates the eight benchmarks once, then runs every experiment driver
 against the recorded reports, writing one ``<name>.txt`` per figure.
-``--experiments`` restricts the set (comma-separated names).
+The defaults are the setting of the committed ``results/`` (scale 0.03,
+2 frames, seed 0), which ``tests/test_paper_shapes.py`` pins byte for
+byte through :func:`regenerate`; ``--experiments`` restricts the set
+(comma-separated names).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from ..ablation.studies import STUDIES
 from ..workloads import run_all
@@ -62,17 +64,36 @@ EXPERIMENTS.update({
 })
 
 
+#: The setting of the committed ``results/``: the defaults of both
+#: :func:`regenerate` and the CLI.
+SCALE, FRAMES, SEED = 0.03, 2, 0
+
+
+def regenerate(names=None, scale: float = SCALE, frames: int = FRAMES,
+               seed: int = SEED):
+    """Simulate once, run the ``names`` drivers (default: all).
+
+    Returns ``(runs, tables)``: the :func:`~repro.workloads.run_all`
+    dict and ``{name: (data, text)}`` with ``data`` the figure's numbers
+    (``None`` for the text-only Table 3/4) and ``text`` the rendered
+    table.  A pure function of its arguments.
+    """
+    runs = run_all(scale=scale, frames=frames, seed=seed)
+    tables = {}
+    for name in (EXPERIMENTS if names is None else names):
+        result = EXPERIMENTS[name](runs)
+        tables[name] = (result if isinstance(result, tuple)
+                        else (None, result))
+    return runs, tables
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro.analysis", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_BENCH_SCALE", "0.12")))
-    parser.add_argument("--frames", type=int,
-                        default=int(os.environ.get(
-                            "REPRO_BENCH_FRAMES", "3")))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", type=float, default=SCALE)
+    parser.add_argument("--frames", type=int, default=FRAMES)
+    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--out", default="results")
     parser.add_argument(
         "--experiments",
@@ -88,28 +109,15 @@ def main(argv=None):
             parser.error(f"unknown experiments: {', '.join(unknown)}; "
                          f"choose from {', '.join(EXPERIMENTS)}")
 
-    print(f"# running 8 benchmarks at scale {args.scale:g} ...",
-          flush=True)
-    t0 = time.perf_counter()
-    runs = run_all(scale=args.scale, frames=args.frames,
-                   measure_from=max(0, args.frames - 2),
-                   seed=args.seed)
-    print(f"# benchmarks done in {time.perf_counter() - t0:.1f}s",
-          flush=True)
-
+    print(f"# running 8 benchmarks at scale {args.scale:g}, then "
+          f"{len(wanted)} experiment drivers ...", flush=True)
+    _runs, tables = regenerate(wanted, scale=args.scale,
+                               frames=args.frames, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    written = 0
-    for name in wanted:
-        t0 = time.perf_counter()
-        result = EXPERIMENTS[name](runs)
-        text = result[1] if isinstance(result, tuple) else result
-        path = os.path.join(args.out, f"{name}.txt")
-        with open(path, "w") as fh:
+    for name, (_data, text) in tables.items():
+        with open(os.path.join(args.out, f"{name}.txt"), "w") as fh:
             fh.write(text + "\n")
-        written += 1
-        print(f"# {name} in {time.perf_counter() - t0:.1f}s",
-              flush=True)
-    print(f"# wrote {written} files to {args.out}", flush=True)
+    print(f"# wrote {len(tables)} files to {args.out}", flush=True)
     return 0
 
 

@@ -18,26 +18,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..collision import ccd as ccd_mod
 from ..math3d import Mat3, Quaternion, Vec3
 from . import ccd as fp_ccd
 
 
-# Below this many live bodies the per-body loop beats array dispatch
-# (the gather/write-back boundary costs ~5 us/body either way; the
-# array path only amortizes its ~40 kernel launches past this point).
-# Single worlds rarely get here — BatchWorld populations do.
-_FORCES_BATCH_MIN = 192
-
-
 def apply_forces(world, dt: float):
     """Drop-in for ``World._apply_forces`` (bit-identical)."""
     live = [b for b in world.bodies if not (b.is_static or not b.enabled)]
-    if len(live) >= _FORCES_BATCH_MIN:
-        _apply_forces_batch(world, live, dt)
-        return
     cfg = world.config
     g = cfg.gravity
     gx, gy, gz = g.x, g.y, g.z
@@ -116,122 +104,6 @@ def apply_forces(world, dt: float):
             (av.y + (m10 * t.x + m11 * t.y + m12 * t.z) * dt) * ang_k,
             (av.z + (m20 * t.x + m21 * t.y + m22 * t.z) * dt) * ang_k,
         )
-        body.force = Vec3()
-        body.torque = Vec3()
-
-
-def _apply_forces_batch(world, live, dt: float):
-    """Array restatement of the per-body loop above.
-
-    Every expression is the same formula applied elementwise across the
-    live bodies (same products, same association), so the refreshed
-    world inertias and damped velocities carry identical bit patterns.
-    """
-    cfg = world.config
-    g = cfg.gravity
-    lin_k = max(0.0, 1.0 - cfg.linear_damping * dt)
-    ang_k = max(0.0, 1.0 - cfg.angular_damping * dt)
-    # Same sleeping-body shortcut as the per-body loop: their cached
-    # world inertia is already exact, so only the rest need the refresh.
-    stale = [body for body in live
-             if not (body.sleeping and body._inv_inertia_world is not None)]
-    for body in live:
-        if body.sleeping and body._inv_inertia_world is not None:
-            body.force = Vec3()
-            body.torque = Vec3()
-    live = stale
-    if not live:
-        return
-    n = len(live)
-    q = np.empty((n, 4))
-    for i, body in enumerate(live):
-        o = body.orientation
-        q[i] = (o.w, o.x, o.y, o.z)
-    ib = np.array([body.inv_inertia_body.m
-                   for body in live]).reshape(n, 9)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    r00 = 1 - 2 * (yy + zz)
-    r01 = 2 * (xy - wz)
-    r02 = 2 * (xz + wy)
-    r10 = 2 * (xy + wz)
-    r11 = 1 - 2 * (xx + zz)
-    r12 = 2 * (yz - wx)
-    r20 = 2 * (xz - wy)
-    r21 = 2 * (yz + wx)
-    r22 = 1 - 2 * (xx + yy)
-    (i00, i01, i02, i10, i11, i12, i20, i21, i22) = (
-        ib[:, 0], ib[:, 1], ib[:, 2], ib[:, 3], ib[:, 4],
-        ib[:, 5], ib[:, 6], ib[:, 7], ib[:, 8])
-    a00 = r00 * i00 + r01 * i10 + r02 * i20
-    a01 = r00 * i01 + r01 * i11 + r02 * i21
-    a02 = r00 * i02 + r01 * i12 + r02 * i22
-    a10 = r10 * i00 + r11 * i10 + r12 * i20
-    a11 = r10 * i01 + r11 * i11 + r12 * i21
-    a12 = r10 * i02 + r11 * i12 + r12 * i22
-    a20 = r20 * i00 + r21 * i10 + r22 * i20
-    a21 = r20 * i01 + r21 * i11 + r22 * i21
-    a22 = r20 * i02 + r21 * i12 + r22 * i22
-    M = np.empty((n, 9))
-    M[:, 0] = a00 * r00 + a01 * r01 + a02 * r02
-    M[:, 1] = a00 * r10 + a01 * r11 + a02 * r12
-    M[:, 2] = a00 * r20 + a01 * r21 + a02 * r22
-    M[:, 3] = a10 * r00 + a11 * r01 + a12 * r02
-    M[:, 4] = a10 * r10 + a11 * r11 + a12 * r12
-    M[:, 5] = a10 * r20 + a11 * r21 + a12 * r22
-    M[:, 6] = a20 * r00 + a21 * r01 + a22 * r02
-    M[:, 7] = a20 * r10 + a21 * r11 + a22 * r12
-    M[:, 8] = a20 * r20 + a21 * r21 + a22 * r22
-    rows = M.tolist()
-    awake = []
-    for i, body in enumerate(live):
-        m = rows[i]
-        iw = Mat3.__new__(Mat3)
-        iw.m = [m[0:3], m[3:6], m[6:9]]
-        body._inv_inertia_world = iw
-        if body.sleeping:
-            body.force = Vec3()
-            body.torque = Vec3()
-        else:
-            awake.append(i)
-    if not awake:
-        return
-    k = len(awake)
-    st = np.empty((k, 12))
-    gim = np.empty((k, 2))
-    for row, i in enumerate(awake):
-        body = live[i]
-        v = body.linear_velocity
-        f = body.force
-        av = body.angular_velocity
-        t = body.torque
-        st[row] = (v.x, v.y, v.z, f.x, f.y, f.z,
-                   av.x, av.y, av.z, t.x, t.y, t.z)
-        gim[row] = (body.gravity_scale, body.inv_mass)
-    gs, im = gim[:, 0], gim[:, 1]
-    tx, ty, tz = st[:, 9], st[:, 10], st[:, 11]
-    Ma = M[awake]
-    out = np.empty((k, 6))
-    out[:, 0] = (st[:, 0] + (g.x * gs + st[:, 3] * im) * dt) * lin_k
-    out[:, 1] = (st[:, 1] + (g.y * gs + st[:, 4] * im) * dt) * lin_k
-    out[:, 2] = (st[:, 2] + (g.z * gs + st[:, 5] * im) * dt) * lin_k
-    out[:, 3] = (st[:, 6]
-                 + (Ma[:, 0] * tx + Ma[:, 1] * ty + Ma[:, 2] * tz)
-                 * dt) * ang_k
-    out[:, 4] = (st[:, 7]
-                 + (Ma[:, 3] * tx + Ma[:, 4] * ty + Ma[:, 5] * tz)
-                 * dt) * ang_k
-    out[:, 5] = (st[:, 8]
-                 + (Ma[:, 6] * tx + Ma[:, 7] * ty + Ma[:, 8] * tz)
-                 * dt) * ang_k
-    vals = out.tolist()
-    for row, i in enumerate(awake):
-        body = live[i]
-        nv = vals[row]
-        body.linear_velocity = Vec3(nv[0], nv[1], nv[2])
-        body.angular_velocity = Vec3(nv[3], nv[4], nv[5])
         body.force = Vec3()
         body.torque = Vec3()
 

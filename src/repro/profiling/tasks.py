@@ -45,17 +45,12 @@ def phase_cg_speedup(report, phase: str, cores: int) -> float:
     return worst if worst is not None else 1.0
 
 
-def cg_speedup(report, phase, cores: int = None) -> float:
+def cg_speedup(report, cores: int) -> float:
     """Frame speedup on ``cores`` ideal CG cores (Amdahl over phases).
 
-    ``cg_speedup(report, cores)`` analyzes the whole frame;
-    ``cg_speedup(report, phase, cores)`` analyzes one parallel phase
-    with sub-step barriers (see :func:`phase_cg_speedup`).
+    For one parallel phase with sub-step barriers see
+    :func:`phase_cg_speedup`.
     """
-    if cores is None:
-        phase, cores = None, phase
-    if phase is not None:
-        return phase_cg_speedup(report, phase, cores)
     if cores < 1:
         raise ValueError("cores must be >= 1")
     insts = report.phase_instructions()

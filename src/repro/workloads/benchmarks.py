@@ -356,9 +356,16 @@ class BenchmarkRun:
 
 def run_all(scale: float = 1.0, frames: int = 5, measure_from: int = None,
             seed: int = 0) -> dict:
-    from ..api import SessionSpec, run_scenario
-    return {
-        name: run_scenario(SessionSpec(name, scale=scale, seed=seed),
-                           frames=frames, measure_from=measure_from)
-        for name in BENCHMARKS
-    }
+    """Simulate all eight benchmarks: name -> :class:`BenchmarkRun`.
+
+    Uids come from one fresh :class:`~repro.api.UidScope` shared by the
+    eight builds (touch-trace addresses derive from uids), so the runs
+    depend on the arguments alone, not on what the process built before.
+    """
+    from ..api import SessionSpec, UidScope, run_scenario
+    with UidScope().installed():
+        return {
+            name: run_scenario(SessionSpec(name, scale=scale, seed=seed),
+                               frames=frames, measure_from=measure_from)
+            for name in BENCHMARKS
+        }
