@@ -12,12 +12,13 @@ counts into ``world.report``; ``step_frame()`` bundles the paper's
 from __future__ import annotations
 
 from ..collision import Geom
-from ..dynamics import ContactJoint, build_islands
+from ..dynamics import ContactJoint, SolveStats, build_islands
 from ..fastpath import kernels as numpy_kernels
 from ..fastpath import resolve_backend
 from ..geometry import Shape
 from ..math3d import Transform, Vec3
-from ..profiling import FrameReport, task_cost_cloth, task_cost_island
+from ..profiling import (ISLAND_SWEEPS, FrameReport, task_cost_cloth,
+                         task_cost_island)
 from . import scalar as scalar_kernels
 from .explosions import Explosion, PrefracturedBody
 
@@ -280,6 +281,15 @@ class World:
         (integration, cloth, clocks).  Stage boundaries only hoist work
         across *disjoint* islands, so the trajectory is bit-identical
         to solving and integrating island by island.
+
+        ``_finish_islands`` likewise end-steps, integrates, accounts
+        and sleep-tests once per world, not island by island, which is
+        exact because: ``integrate`` still visits bodies in island
+        order, so each CCD sweep sees the poses and ``enabled`` flags
+        it saw before; ``joint.end_step`` reads only its rows' impulses
+        and writes only its joint's flags; ``_update_sleep`` writes
+        only its own island's ``sleeping`` flags and velocities, which
+        no other island's integration reads.  Counters sum integers.
         """
         islands, islands_rows, live_geoms = self._prepare_step()
         stats_list = self.kernels.solve(islands_rows,
@@ -287,8 +297,9 @@ class World:
         self._finish_step(islands, stats_list, live_geoms)
 
     def _prepare_step(self):
-        """Phases 1-4a.  Returns the islands to solve, their constraint
-        rows (one list per island) and the step's enabled geoms."""
+        """Phases 1-4a.  Returns the islands to process, the constraint
+        rows of those that have constraints (one list per such island,
+        in island order) and the step's enabled geoms."""
         cfg = self.config
         if self.report is None:
             self.report = FrameReport(self.frame_index)
@@ -306,13 +317,17 @@ class World:
         # bodies) before any island solves reads exactly the state an
         # island-by-island loop would read.
         self.kernels.apply_forces(self, cfg.dt)
-        live_islands = []
-        for island in islands:
-            if cfg.auto_sleep and self._island_asleep(island):
-                report.count("island_processing", skipped_islands=1)
-                continue
-            live_islands.append(island)
-        islands_rows = self.kernels.build_rows(self, live_islands, cfg.dt)
+        live_islands = islands
+        if cfg.auto_sleep:
+            live_islands = [
+                island for island in islands
+                if not all(b.sleeping for b in island.bodies)]
+            report.count("island_processing",
+                         skipped_islands=len(islands) - len(live_islands))
+        # An island without constraints has no rows to build or solve;
+        # ``_finish_islands`` accounts for it as a zero-row solve.
+        constrained = [i for i in live_islands if i.constraint_count()]
+        islands_rows = self.kernels.build_rows(self, constrained, cfg.dt)
         return live_islands, islands_rows, live_geoms
 
     def _apply_explosions(self):
@@ -349,6 +364,7 @@ class World:
         sweep_order = getattr(self.broadphase, "last_order", None)
         if sweep_order is None:
             sweep_order = [g.uid for g in live_geoms]
+        sweep_order = tuple(sweep_order)  # one copy, shared by both kinds
         report.touch("broadphase", "geom", sweep_order)
         report.touch("broadphase", "endpoint", sweep_order)
         return pairs
@@ -370,69 +386,77 @@ class World:
         active_joints = [self.joints[idx] for idx in active_joint_ids]
         islands, merges = build_islands(self.bodies, contact_joints,
                                         active_joints)
+        dynamic_uids = [b.uid for b in self.dynamic_bodies()]
         report.count(
             "island_creation",
-            bodies=len(self.dynamic_bodies()),
+            bodies=len(dynamic_uids),
             unions=merges,
             islands=len(islands),
             constraints=len(contact_joints) + len(active_joints),
         )
-        report.touch("island_creation", "body",
-                     [b.uid for b in self.dynamic_bodies()])
+        report.touch("island_creation", "body", dynamic_uids)
         report.touch("island_creation", "contact",
                      range(len(contacts)))
         report.touch("island_creation", "joint", active_joint_ids)
         return islands
 
     def _finish_step(self, islands, stats_list, live_geoms):
-        """Phases 4c-5 and the clocks, given each island's solve stats."""
+        """Phases 4c-5 and the clocks, given the solved islands' stats."""
         self._finish_islands(islands, stats_list)
         self._step_cloths(live_geoms)
         self.step_index += 1
         self.time += self.config.dt
 
     def _finish_islands(self, islands, stats_list):
-        """Phase 4c: joint end-step, impulse cache, integration."""
+        """Phase 4c, one pass per world: joint end-step and impulse
+        cache, then one ``integrate`` over every island's bodies in
+        island order and one report entry of each kind.  ``stats_list``
+        holds the solve stats of the islands that have constraints."""
         cfg = self.config
         report = self.report
         dt = cfg.dt
+        unconstrained = SolveStats(0, cfg.solver_iterations, 0, 0.0, 0.0)
+        solved = iter(stats_list)
         new_cache = {}
-        self.last_island_residuals = []
-        self.last_solver_residual = 0.0
-        row_base = 0
-        for island, stats in zip(islands, stats_list):
-            self.last_island_residuals.append(
-                (stats.residual, [b.uid for b in island.bodies]))
-            if stats.residual > self.last_solver_residual:
-                self.last_solver_residual = stats.residual
+        residuals = self.last_island_residuals = []
+        worst = 0.0
+        bodies, row_counts, uid_lists, costs = [], [], [], []
+        rows = row_updates = 0
+        for island in islands:
+            stats = (next(solved) if island.constraint_count()
+                     else unconstrained)
+            uids = [b.uid for b in island.bodies]
+            residuals.append((stats.residual, uids))
+            if stats.residual > worst:
+                worst = stats.residual
             for joint in island.joints:
                 joint.end_step(dt)
             for cj in island.contact_joints:
                 new_cache[cj.cache_key] = (
                     cj.normal_row.impulse,
                 ) + tuple(r.impulse for r in cj.tangent_rows)
-            self.kernels.integrate(self, island.bodies, dt)
-            report.count(
-                "island_processing",
-                rows=stats.rows,
-                row_updates=stats.row_updates,
-                integrations=len(island.bodies),
-            )
-            report.add_task("island_processing", task_cost_island(
-                stats.rows, stats.row_updates, len(island.bodies)))
-            # The PGS solver sweeps the island's row pool and body
-            # records once per iteration — the repeated-sweep footprint
-            # that makes island caching pay off (Fig. 3).
-            report.touch("island_processing", "row",
-                         range(row_base, row_base + stats.rows),
-                         repeat=cfg.solver_iterations, writes=True)
-            report.touch("island_processing", "body",
-                         [b.uid for b in island.bodies],
-                         repeat=cfg.solver_iterations, writes=True)
-            row_base += stats.rows
-            if cfg.auto_sleep:
-                self._update_sleep(island, dt)
+            bodies.extend(island.bodies)
+            row_counts.append(stats.rows)
+            uid_lists.append(uids)
+            costs.append(task_cost_island(
+                stats.rows, stats.row_updates, len(uids)))
+            rows += stats.rows
+            row_updates += stats.row_updates
+        self.last_solver_residual = worst
         self._impulse_cache = new_cache
+        self.kernels.integrate(self, bodies, dt)
+        report.count("island_processing", rows=rows,
+                     row_updates=row_updates, integrations=len(bodies))
+        report.add_tasks("island_processing", costs)
+        # The PGS solver sweeps each island's rows and body records once
+        # per iteration — the repeated-sweep footprint that makes island
+        # caching pay off (Fig. 3); ``memtrace`` expands the one record.
+        report.touch("island_processing", ISLAND_SWEEPS,
+                     (row_counts, uid_lists),
+                     repeat=cfg.solver_iterations, writes=True)
+        if cfg.auto_sleep:
+            for island in islands:
+                self._update_sleep(island, dt)
 
     def _step_cloths(self, live_geoms):
         """Phase 5: cloth."""
@@ -479,9 +503,6 @@ class World:
             if body is not None and not body.is_static and body.enabled:
                 return True
         return False
-
-    def _island_asleep(self, island) -> bool:
-        return all(b.sleeping for b in island.bodies)
 
     def _update_sleep(self, island, dt: float):
         cfg = self.config

@@ -57,8 +57,8 @@ class BatchWorld:
              for rows in islands_rows],
             lead.config.solver_iterations)
         start = 0
-        for w, (islands, _, live_geoms) in zip(self.worlds, prepared):
-            end = start + len(islands)
+        for w, (islands, rows, live_geoms) in zip(self.worlds, prepared):
+            end = start + len(rows)  # one stats entry per row list
             w._finish_step(islands, stats[start:end], live_geoms)
             start = end
 

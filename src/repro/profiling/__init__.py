@@ -16,6 +16,7 @@ from .instmix import (
     PHASE_MIX,
 )
 from .report import (
+    ISLAND_SWEEPS,
     PARALLEL_PHASES,
     PHASES,
     SERIAL_PHASES,
@@ -40,6 +41,7 @@ __all__ = [
     "KERNEL_FOOTPRINTS",
     "FG_KERNEL_SHARE",
     "PHASES",
+    "ISLAND_SWEEPS",
     "PARALLEL_PHASES",
     "SERIAL_PHASES",
     "FrameReport",

@@ -12,7 +12,7 @@ cloth vertices stream 48 B (position + previous position) each.
 
 from __future__ import annotations
 
-from .report import PHASES
+from .report import ISLAND_SWEEPS, PARALLEL_PHASES, PHASES, TouchGroup
 
 BLOCK = 64
 
@@ -60,13 +60,34 @@ def group_blocks(group):
     return out
 
 
+def _island_groups(phase, record):
+    """The ``row`` / ``body`` sweep pair of every island of a compact
+    ``ISLAND_SWEEPS`` record; islands' rows are laid out back to back."""
+    row_base = 0
+    for rows, body_uids in zip(*record.ids):
+        yield phase, TouchGroup("row", range(row_base, row_base + rows),
+                                record.repeat, record.writes)
+        yield phase, TouchGroup("body", body_uids, record.repeat,
+                                record.writes)
+        row_base += rows
+
+
 def step_groups(report, phases=None):
-    """Yield ``(phase, TouchGroup)`` in pipeline order over sub-steps."""
+    """Yield ``(phase, TouchGroup)`` in pipeline order over sub-steps.
+
+    Every consumer reads the trace through here: an ``ISLAND_SWEEPS``
+    record comes out expanded, so every group yielded names a memory
+    region — this is the trace format every cache model sees.
+    """
     wanted = PHASES if phases is None else tuple(phases)
     order = {p: i for i, p in enumerate(PHASES)}
     for step in report.step_touches:
         for phase, group in sorted(step, key=lambda pg: order[pg[0]]):
-            if phase in wanted:
+            if phase not in wanted:
+                continue
+            if group.kind == ISLAND_SWEEPS:
+                yield from _island_groups(phase, group)
+            else:
                 yield phase, group
 
 
@@ -85,8 +106,6 @@ def interleaved(report, threads: int, chunk: int = 32):
     """Round-robin interleave the parallel-phase streams of ``threads``
     workers, ``chunk`` accesses at a time — the multi-core L2 traffic of
     Fig. 6. Serial phases stay on thread 0."""
-    from .report import PARALLEL_PHASES
-
     streams = [[] for _ in range(threads)]
     turn = 0
     for phase, group in step_groups(report):

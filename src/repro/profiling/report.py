@@ -24,17 +24,25 @@ PARALLEL_PHASES = ("narrowphase", "island_processing", "cloth")
 SERIAL_PHASES = tuple(p for p in PHASES if p not in PARALLEL_PHASES)
 
 
+# ``TouchGroup.kind`` of the compact record of one sub-step's Island
+# Processing sweeps: ``ids`` is ``(row counts, body-uid lists)``, one
+# entry per island each.  It names no memory region: only
+# ``memtrace.step_groups`` reads it, as each island's row / body pair.
+ISLAND_SWEEPS = "island_sweeps"
+
+
 class TouchGroup:
     """One recorded burst of memory activity: ``ids`` records of region
     ``kind`` touched in order, swept ``repeat`` times (solver
     iterations), optionally as writes. ``ids`` may be any iterable of
-    ints (a ``range`` keeps big sequential sweeps compact)."""
+    ints (a ``range`` keeps big sequential sweeps compact; a ``tuple``
+    is kept as is, so one id list recorded under two kinds is shared)."""
 
     __slots__ = ("kind", "ids", "repeat", "writes")
 
     def __init__(self, kind, ids, repeat=1, writes=False):
         self.kind = kind
-        self.ids = ids if isinstance(ids, range) else tuple(ids)
+        self.ids = ids if isinstance(ids, (range, tuple)) else tuple(ids)
         self.repeat = repeat
         self.writes = writes
 

@@ -233,6 +233,9 @@ class ShardWorker:
     def _frame_done(self, runtime: SessionRuntime, seconds: float,
                     batched: bool, outbox):
         self.metrics.observe_frame(runtime.session_id, seconds, batched)
+        # No verb reads a past frame's report; keeping them all would
+        # grow the shard with uptime.
+        del runtime.session.reports[:-1]
         self._note_watchdog(runtime)
         self._update_quarantine(runtime, seconds)
         job = runtime.step_job

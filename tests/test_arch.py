@@ -31,7 +31,9 @@ from repro.arch.kernels import (
     phase_trace,
 )
 from repro.arch.pipeline import simulate_ipc
-from repro.profiling.report import PHASES, FrameReport
+from repro.profiling import memtrace
+from repro.profiling.report import (ISLAND_SWEEPS, PHASES, FrameReport,
+                                    TouchGroup)
 
 MB = 1024 * 1024
 
@@ -97,6 +99,57 @@ def test_profile_sees_touches_recorded_after_profiling():
     assert before.total_accesses(("cloth",)) == 0
     assert after.total_accesses(("cloth",)) == 48
     assert machine.phase_cycles(report, "cloth") > cycles
+    # A late compact island record is one more entry, seen expanded.
+    report.touch("island_processing", ISLAND_SWEEPS, ([2], [[7, 8]]),
+                 repeat=2, writes=True)
+    late = StackDistanceProfile.from_report(report)
+    assert late is not after
+    assert (late.total_accesses(("island_processing",))
+            - after.total_accesses(("island_processing",))) == 2 * (
+        len(memtrace.group_blocks(TouchGroup("row", range(2))))
+        + len(memtrace.group_blocks(TouchGroup("body", [7, 8]))))
+
+
+def test_compact_island_record_is_the_per_island_trace():
+    """``memtrace.step_groups`` reads one ``ISLAND_SWEEPS`` entry as the
+    ``row`` / ``body`` touch pair of every island, zero-row islands
+    included, so no cache model can tell how the sweeps were stored."""
+    islands = [(6, [3, 4]), (0, [9]), (2, [5, 6, 7])]
+    compact, per_island = FrameReport(), FrameReport()
+    for report in (compact, per_island):
+        report.steps = 1
+        report.touch("narrowphase", "body", [3, 4, 5])
+    compact.touch("island_processing", ISLAND_SWEEPS,
+                  tuple(zip(*islands)), repeat=5, writes=True)
+    row_base = 0
+    for rows, uids in islands:
+        per_island.touch("island_processing", "row",
+                         range(row_base, row_base + rows), 5, True)
+        per_island.touch("island_processing", "body", uids, 5, True)
+        row_base += rows
+    for report in (compact, per_island):
+        report.touch("cloth", "clothvert", range(16), repeat=2)
+        report.steps = 2
+        report.touch("island_processing", "body", [4])
+
+    def groups(report):
+        return [(phase, g.kind, g.ids, g.repeat, g.writes)
+                for phase, g in memtrace.step_groups(report)]
+
+    assert len(compact.step_touches[0]) == 3
+    assert len(groups(compact)) == 9
+    assert groups(compact) == groups(per_island)
+    assert list(memtrace.expand(compact)) == list(
+        memtrace.expand(per_island))
+    assert memtrace.interleaved(compact, 4) == memtrace.interleaved(
+        per_island, 4)
+    a = StackDistanceProfile.from_report(compact)
+    b = StackDistanceProfile.from_report(per_island)
+    assert (a.histograms, a.cold, a.accesses) == (
+        b.histograms, b.cold, b.accesses)
+    # Unexpanded, the record names no memory region.
+    with pytest.raises(KeyError):
+        memtrace.group_blocks(compact.step_touches[0][1][1])
 
 
 def test_waypart_strict_allocation():

@@ -1,5 +1,7 @@
 """World pipeline, frame reports, breakable joints, prefracture."""
 
+import collections
+import functools
 import importlib
 import inspect
 
@@ -9,7 +11,7 @@ from repro.dynamics import Body, FixedJoint
 from repro.fastpath import kernels as numpy_kernels
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Vec3
-from repro.profiling import PARALLEL_PHASES, PHASES
+from repro.profiling import PARALLEL_PHASES, PHASES, FrameReport
 
 
 def _world_with_ground(**kwargs):
@@ -166,6 +168,18 @@ STAGE_SEAMS = (
 )
 
 
+def _count_calls(monkeypatch, owner, attr, record):
+    """Patch a late-bound wrapper onto ``owner.attr`` that calls
+    ``record()`` before the real function."""
+    func = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        record()
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+
+
 class TestKernelSets:
     def test_both_sets_expose_the_same_phases(self):
         def phases(module):
@@ -191,13 +205,8 @@ class TestKernelSets:
             *parents, attr = path.split(".")
             for parent in parents:
                 owner = getattr(owner, parent)
-
-            def counting(*args, _func=getattr(owner, attr),
-                         _key=(module_name, path), **kwargs):
-                fired.add(_key)
-                return _func(*args, **kwargs)
-
-            monkeypatch.setattr(owner, attr, counting)
+            _count_calls(monkeypatch, owner, attr,
+                         functools.partial(fired.add, (module_name, path)))
 
         def session():
             return Session.create(
@@ -210,3 +219,34 @@ class TestKernelSets:
         SessionGroup([session(), session()]).step(1)
         assert set(fired) == set(STAGE_SEAMS) - {
             ("repro.engine.world", "World.step")}
+
+    def test_per_step_calls_do_not_scale_with_island_count(
+            self, monkeypatch):
+        """Islands are free parallelism, not host overhead: a sub-step
+        makes the same kernel and report calls over 8 islands as over
+        64, on both kernel sets."""
+        calls = collections.Counter()
+        seams = [(kernels, name) for kernels in (scalar, numpy_kernels)
+                 for name in ("integrate", "build_rows", "solve")]
+        seams += [(FrameReport, name)
+                  for name in ("count", "touch", "add_task", "add_tasks")]
+        for owner, attr in seams:
+            _count_calls(monkeypatch, owner, attr,
+                         functools.partial(calls.update, (attr,)))
+
+        def step_calls(backend, free_bodies):
+            world = World(backend=backend)
+            for i in range(free_bodies):
+                world.attach(Body(position=Vec3(3.0 * i, 0, 0)),
+                             Sphere(0.5))
+            calls.clear()
+            world.step()
+            assert world.report["island_creation"].get(
+                "islands") == free_bodies
+            return dict(calls)
+
+        for backend in ("scalar", "numpy"):
+            few = step_calls(backend, 8)
+            assert few == step_calls(backend, 64)
+            assert (few["integrate"], few["build_rows"],
+                    few["solve"]) == (1, 1, 1)

@@ -12,10 +12,12 @@ Regenerate deliberately with::
     python -m pytest tests/test_golden.py --regen-golden
 """
 
+import json
 import os
 
 import pytest
 
+from repro.api import Session, SessionSpec
 from repro.engine.recorder import TrajectoryRecorder
 from repro.workloads.benchmarks import BENCHMARKS
 
@@ -62,3 +64,23 @@ def test_golden_trajectory(name, request):
     assert got == _normalized(golden["trajectory"]), (
         f"{name}: trajectory deviates from golden fixture; if the "
         f"change is intended, rerun with --regen-golden")
+
+
+# ``Session.state_digest()`` after 60 frames at scale 0.05, seed 0,
+# recorded at the commit *before* island processing became one pass per
+# world (PR 18): both backends share ``World._finish_islands``, so only
+# a pin against the island-by-island loop can see an ordering bug in
+# the hoist.  ``auto_sleep`` exercises the deferred sleep updates, the
+# default config the CCD sweeps over several islands.
+ISLAND_ORDER_CONFIGS = {"auto_sleep": {"auto_sleep": True}, "default": {}}
+with open(os.path.join(FIXTURES, "island_order_digests.json")) as _fh:
+    ISLAND_ORDER_DIGESTS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+@pytest.mark.parametrize("config", sorted(ISLAND_ORDER_CONFIGS))
+def test_island_order_digest(config, name):
+    session = Session.create(SessionSpec(
+        name, scale=0.05, seed=0, config=ISLAND_ORDER_CONFIGS[config]))
+    session.step(60)
+    assert session.state_digest() == ISLAND_ORDER_DIGESTS[config][name]

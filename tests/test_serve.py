@@ -190,6 +190,24 @@ class TestShardWorker:
             served = worker.sessions[f"s{seed}"].session
             assert served.state_digest() == twin.state_digest()
 
+    def test_served_session_keeps_only_its_last_report(self):
+        """A shard must not grow with uptime: nothing served reads a
+        past frame's report, in-process callers keep full history."""
+        worker, outbox = ShardWorker(0), Outbox()
+        worker._dispatch(protocol.request(
+            0, "create", "s", spec=spec().to_dict()), outbox)
+        worker._dispatch(protocol.request(1, "step", "s", frames=30),
+                         outbox)
+        while worker._has_step_work():
+            worker._frame_round(outbox)
+        worker._dispatch(protocol.request(2, "query", "s"), outbox)
+        assert len(worker.sessions["s"].session.reports) <= 1
+        twin = Session.create(spec())
+        twin.step(30)
+        assert len(twin.reports) == 30
+        assert outbox[-1]["result"]["frame_index"] == 30
+        assert outbox[-1]["result"]["digest"] == twin.state_digest()
+
 
 # -- end-to-end: cluster -------------------------------------------------
 def serve(scenario, **cluster_kwargs):
