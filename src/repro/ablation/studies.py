@@ -1,24 +1,28 @@
-"""Focused single-mechanism ablation scenes.
+"""The five ablation studies behind ``results/ablation_*.txt``.
 
-These are the four original ad-hoc ablation studies (warm starting,
-auto-sleep, CCD, broadphase strategy).  ``python -m repro.analysis``
-regenerates ``results/ablation_*.txt`` from them and
-``tests/test_paper_shapes.py`` asserts each mechanism is load-bearing.
+``python -m repro.analysis`` regenerates them and
+``tests/test_paper_shapes.py`` pins each table byte for byte.
 
-Unlike the :class:`~repro.ablation.runner.AblationRunner` matrix —
-which toggles features on the Table 3 workloads and scores importance —
-each study here uses a purpose-built scene that isolates its mechanism
-(a box stack for warm starting, a quiescent grid for sleep, a bullet
-vs a thin wall for CCD).  Output text is byte-compatible with the
-historical scripts.  Every study is scale-independent and returns
-``(rows, text)``.
+Four use a purpose-built scene that isolates one mechanism (a box
+stack for warm starting, a quiescent grid for sleep, a bullet vs a
+thin wall for CCD, 300 random spheres for the broadphase) and assert
+in tier-1 that it is load-bearing.  The fifth, :func:`ablation_matrix`,
+asks the opposite question — what does each toggle cost on the paper's
+own workloads? — by running the eight Table 3 scenarios once per
+one-off toggle and pricing every run on the paper's machine.
+
+Every study takes no arguments, runs at fixed module constants and
+returns ``(data, text)``; no number reads a clock.
 """
 
 from __future__ import annotations
 
 import random
 
+from ..analysis.extensions import prefetch_coverage
 from ..analysis.tables import format_table
+from ..api import Session, SessionSpec
+from ..arch import L2Partitioning, ParallaxConfig, ParallaxMachine
 from ..collision import (
     BruteForceBroadphase,
     SpatialHashBroadphase,
@@ -29,9 +33,11 @@ from ..dynamics import Body
 from ..engine import World, WorldConfig
 from ..geometry import Box, Plane, Sphere
 from ..math3d import Transform, Vec3
+from ..profiling import mean_report
+from ..workloads import BENCHMARKS, validate_world
 
 __all__ = ["warmstart_study", "autosleep_study", "ccd_study",
-           "broadphase_study", "STUDIES"]
+           "broadphase_study", "ablation_matrix", "STUDIES"]
 
 
 def _ground(**cfg):
@@ -162,10 +168,123 @@ def broadphase_study():
     return rows, text
 
 
+#: The matrix's setting (that of the committed ``results/``).
+MATRIX_SCALE, MATRIX_FRAMES, MATRIX_SEED = 0.03, 2, 0
+
+#: The one-off engine toggles: ``(feature, SessionSpec patch)`` against
+#: the baseline (scalar backend, default ``WorldConfig``, unguarded).
+#: ``autosleep``, ``numpy_fastpath`` and ``watchdog`` switch a
+#: default-off mechanism on; the rest switch a default-on one off.
+TOGGLES = (
+    ("warm_start", {"config": {"warm_starting": False}}),
+    ("autosleep", {"config": {"auto_sleep": True}}),
+    ("ccd", {"config": {"ccd": False}}),
+    ("broadphase_sap", {"config": {"broadphase": "brute"}}),
+    ("numpy_fastpath", {"backend": "numpy"}),
+    ("watchdog", {"watchdog": True}),
+)
+
+
+def _modeled_fps(measured, **machine):
+    """Frame rate of ``measured`` on the paper's machine (4 CG cores,
+    way-partitioned 12MB L2), or on a ``machine`` variant of it."""
+    machine.setdefault("l2", L2Partitioning.paper_scheme())
+    return ParallaxMachine(ParallaxConfig(
+        cg_cores=4, **machine)).fps(measured, threads=4)
+
+
+def _matrix_run(workload, patch):
+    """Simulate ``workload`` under ``patch`` in a private uid scope."""
+    session = Session.create(SessionSpec(
+        workload, scale=MATRIX_SCALE, seed=MATRIX_SEED,
+        **{"backend": "scalar", **patch}))
+    measured = mean_report(session.step(MATRIX_FRAMES))
+    return {
+        "measured": measured,
+        "fps": _modeled_fps(measured),
+        "row_updates": measured["island_processing"].get(
+            "row_updates", 0.0),
+        "digest": session.state_digest(),
+        "valid": validate_world(session.world,
+                                health=session.health).ok,
+    }
+
+
+def _pct(new, old):
+    return (new - old) / old * 100.0 if old else 0.0
+
+
+def ablation_matrix():
+    """Feature x Table 3 workload: what each one-off toggle moves.
+
+    Engine rows re-simulate; the two arch rows (``l2_partitioning``:
+    one shared 12MB L2, ``prefetch``: next-4-line L2 prefetch) re-price
+    the baseline run on a machine variant.  Per cell: the change in
+    modeled fps and in solver row updates, and whether the trajectory
+    digest moved; ``importance`` is the mean absolute fps change as a
+    fraction (NeoPhysIx-style per-feature accounting, PAPERS.md).
+    """
+    cells = {}
+    for workload in BENCHMARKS:
+        base = _matrix_run(workload, {})
+        runs = {name: _matrix_run(workload, patch)
+                for name, patch in TOGGLES}
+        measured = base["measured"]
+        coverage = {phase: covered for phase, (_m, _pf, covered)
+                    in prefetch_coverage(measured).items()}
+        runs["l2_partitioning"] = dict(base, fps=_modeled_fps(
+            measured, l2=L2Partitioning.shared(
+                L2Partitioning.paper_scheme().total_bytes)))
+        runs["prefetch"] = dict(base, fps=_modeled_fps(
+            measured, prefetch_coverage=coverage))
+        for name, run in runs.items():
+            cells.setdefault(name, {})[workload] = {
+                "delta_modeled_fps_pct": _pct(run["fps"], base["fps"]),
+                "delta_row_updates_pct": _pct(run["row_updates"],
+                                              base["row_updates"]),
+                "base_row_updates": base["row_updates"],
+                "toggled_row_updates": run["row_updates"],
+                "digest_changed": run["digest"] != base["digest"],
+                "valid": run["valid"],
+            }
+
+    data, rows = {}, []
+    for name, per_workload in cells.items():
+        deltas = [c["delta_modeled_fps_pct"]
+                  for c in per_workload.values()]
+        n = len(per_workload)
+        summary = {
+            "workloads": per_workload,
+            "mean_delta_row_updates_pct": sum(
+                c["delta_row_updates_pct"]
+                for c in per_workload.values()) / n,
+            "digest_changed_workloads": sum(
+                c["digest_changed"] for c in per_workload.values()),
+            "importance": sum(abs(d) for d in deltas) / n / 100.0,
+            "all_valid": all(c["valid"] for c in per_workload.values()),
+        }
+        data[name] = summary
+        rows.append(
+            [name] + [f"{d:+.2f}" for d in deltas]
+            + [f"{summary['mean_delta_row_updates_pct']:+.1f}",
+               f"{summary['digest_changed_workloads']}/{n}",
+               f"{summary['importance']:.3f}",
+               "ok" if summary["all_valid"] else "INVALID"])
+    text = format_table(
+        ["feature"] + list(BENCHMARKS)
+        + ["row updates %", "digest moved", "importance", "valid"],
+        rows,
+        f"ablation — one-off feature toggles: change in modeled fps (%) "
+        f"per Table 3 workload (scale {MATRIX_SCALE:g}, "
+        f"{MATRIX_FRAMES} frames, seed {MATRIX_SEED})")
+    return data, text
+
+
 #: name (matches the results/<name>.txt artifact) -> study callable.
 STUDIES = {
     "ablation_warmstart": warmstart_study,
     "ablation_autosleep": autosleep_study,
     "ablation_ccd": ccd_study,
     "ablation_broadphase": broadphase_study,
+    "ablation_matrix": ablation_matrix,
 }

@@ -26,6 +26,7 @@ from .tables import format_table
 
 MESSAGE_HEADER_BYTES = 32
 BATCH_ITERATIONS = 100
+PREFETCH_L2_BYTES = 1024 * 1024
 
 
 def model2_feasibility(runs):
@@ -82,22 +83,34 @@ def protocol_overhead(runs):
     return data, text
 
 
-def prefetch_study(runs, benchmark="mix", depth=4):
-    """Next-N-line prefetch coverage per phase on the touch trace."""
-    report = runs[benchmark].measured
-    data, rows = {}, []
+def prefetch_coverage(report, depth=4):
+    """phase -> ``(misses, misses with prefetch, coverage)``: the
+    phase's recorded touch trace replayed through an exact 1MB
+    :class:`~repro.arch.cache.CacheSim` without and with a
+    next-``depth``-line prefetcher, and the fraction of misses the
+    prefetcher removed.  Phases that touch nothing are absent."""
+    out = {}
     for phase in PHASES:
         blocks = [b for b, _p, _w in memtrace.expand(report, (phase,))]
         if not blocks:
-            data[phase] = {"coverage": 0.0, "misses": 0}
             continue
-        base = CacheSim(1024 * 1024).run(blocks)
-        pf = CacheSim(1024 * 1024, prefetch_depth=depth).run(blocks)
-        covered = max(0, base.misses - pf.misses)
-        coverage = covered / base.misses if base.misses else 0.0
-        data[phase] = {"coverage": coverage, "misses": base.misses}
-        rows.append([phase, base.misses, pf.misses,
-                     f"{coverage * 100:.0f}%"])
+        base = CacheSim(PREFETCH_L2_BYTES).run(blocks).misses
+        pf = CacheSim(PREFETCH_L2_BYTES,
+                      prefetch_depth=depth).run(blocks).misses
+        out[phase] = (base, pf,
+                      max(0, base - pf) / base if base else 0.0)
+    return out
+
+
+def prefetch_study(runs, benchmark="mix", depth=4):
+    """Next-N-line prefetch coverage per phase on the touch trace."""
+    measured = prefetch_coverage(runs[benchmark].measured, depth)
+    data, rows = {}, []
+    for phase in PHASES:
+        base, pf, coverage = measured.get(phase, (0, 0, 0.0))
+        data[phase] = {"coverage": coverage, "misses": base}
+        if phase in measured:
+            rows.append([phase, base, pf, f"{coverage * 100:.0f}%"])
     text = format_table(
         ["phase", "misses", f"misses (+{depth}-line pf)", "coverage"],
         rows,

@@ -31,7 +31,8 @@ import hashlib
 from .collision import Geom
 from .dynamics import Body
 from .engine import WorldConfig
-from .fastpath import BatchWorld, default_backend, resolve_backend
+from .fastpath import (BatchWorld, cohort_key, default_backend,
+                       resolve_backend)
 
 __all__ = ["SessionSpec", "Session", "SessionGroup", "UidScope",
            "run_scenario"]
@@ -426,9 +427,7 @@ class SessionGroup:
             if session._guard is not None:
                 cohorts.append([session])
                 continue
-            config = session.world.config
-            key = (session.world.kernels, config.solver_iterations,
-                   config.substeps_per_frame)
+            key = cohort_key(session.world)
             if key not in shared:
                 shared[key] = []
                 cohorts.append(shared[key])

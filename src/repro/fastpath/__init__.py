@@ -28,40 +28,6 @@ import os
 
 BACKENDS = ("scalar", "numpy")
 
-#: Vectorized kernel -> the named scalar oracle it must stay
-#: bit-identical to.  PaxLint's PAX202 cross-checks both sides of
-#: every entry against the ASTs (and that every public fastpath
-#: kernel appears here), so renaming either end fails lint instead of
-#: silently shrinking differential-test coverage.  Keys are
-#: ``"<module>.<kernel>"`` within this package; values are dotted
-#: ``repro.*`` paths to a function or ``Class.method``.
-SCALAR_COUNTERPARTS = {
-    "batch.BatchWorld.step": "repro.engine.world.World.step",
-    "batch.BatchWorld.step_frame":
-        "repro.engine.world.World.step_frame",
-    "bodies.apply_forces": "repro.engine.scalar.apply_forces",
-    "bodies.integrate": "repro.engine.scalar.integrate",
-    "broadphase.VectorSweepAndPrune.pairs":
-        "repro.collision.broadphase.SweepAndPrune.pairs",
-    "broadphase.fill_aabbs": "repro.collision.geom.Geom.aabb",
-    "ccd.sweep_clamp": "repro.collision.ccd.sweep_clamp",
-    "cloth.step_cloth": "repro.cloth.Cloth.step",
-    "joints.build_joint_rows":
-        "repro.dynamics.joints.Joint.begin_step",
-    "kernels.apply_forces": "repro.engine.scalar.apply_forces",
-    "kernels.build_rows": "repro.engine.scalar.build_rows",
-    "kernels.collide": "repro.engine.scalar.collide",
-    "kernels.integrate": "repro.engine.scalar.integrate",
-    "kernels.make_broadphase": "repro.engine.scalar.make_broadphase",
-    "kernels.solve": "repro.engine.scalar.solve",
-    "kernels.step_cloths": "repro.engine.scalar.step_cloths",
-    "narrowphase.collide_pairs": "repro.engine.scalar.collide",
-    "rows.build_contact_rows":
-        "repro.dynamics.joints.ContactJoint.begin_step",
-    "solver.solve_island_soa": "repro.dynamics.solver.solve_island",
-    "solver.solve_islands": "repro.dynamics.solver.solve_island",
-}
-
 # pax: ignore[PAX107]: harness-scoped backend override stack; pushed/
 # popped only by the default_backend() context manager around world
 # construction, never read inside the step path.
@@ -99,12 +65,12 @@ def default_backend(backend: str):
 
 
 from .solver import solve_island_soa, solve_islands  # noqa: E402
-from .batch import BatchWorld  # noqa: E402
+from .batch import BatchWorld, cohort_key  # noqa: E402
 
 __all__ = [
     "BACKENDS",
     "BatchWorld",
-    "SCALAR_COUNTERPARTS",
+    "cohort_key",
     "default_backend",
     "resolve_backend",
     "solve_island_soa",

@@ -27,19 +27,24 @@ from __future__ import annotations
 from ..profiling import FrameReport
 
 
+def cohort_key(world):
+    """What worlds must share to step as one fleet: the one ``solve``
+    call needs one kernel set and one ``solver_iterations`` value, the
+    lockstep frame one ``substeps_per_frame``."""
+    return (world.kernels, world.config.solver_iterations,
+            world.config.substeps_per_frame)
+
+
 class BatchWorld:
     """Steps a uniform fleet of independent worlds with one packed solve.
 
-    The one ``solve`` call needs every world on one kernel set with one
-    ``solver_iterations`` value, and the lockstep frame needs one
-    ``substeps_per_frame``; anything else is a ``ValueError``.
+    Uniform means one :func:`cohort_key`; anything else is a
+    ``ValueError``.
     """
 
     def __init__(self, worlds):
         self.worlds = list(worlds)
-        if len({(w.kernels, w.config.solver_iterations,
-                 w.config.substeps_per_frame)
-                for w in self.worlds}) != 1:
+        if len({cohort_key(w) for w in self.worlds}) != 1:
             raise ValueError(
                 "BatchWorld needs a non-empty fleet sharing one kernel "
                 "set, solver_iterations and substeps_per_frame")

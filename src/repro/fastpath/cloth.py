@@ -63,8 +63,6 @@ def _relax_once(cloth):
     pos += delta
 
 
-# pax: ignore[PAX202]: per-step precompute shared by every cloth; the
-# scalar path recomputes bounds inline, so there is no named analogue.
 def collider_bounds(colliders):
     """Margin-expanded AABB arrays for the step's cloth colliders.
 

@@ -138,8 +138,6 @@ class PackedRows:
         self.n_levels = 0
 
     # -- scheduling -----------------------------------------------------
-    # pax: ignore[PAX202]: SoA packing/scheduling machinery; the scalar
-    # oracle for its output is solve_island via solve_islands.
     def build_levels(self):
         """Group rows into dependency levels (see module docstring)."""
         if self.levels is not None:
@@ -174,8 +172,6 @@ class PackedRows:
         self.n_levels = len(levels)
         return levels
 
-    # pax: ignore[PAX202]: diagnostic statistic over the packed rows;
-    # reported only, never fed back into the simulation.
     def mean_level_width(self) -> float:
         self.build_levels()
         if not self.n_levels:
@@ -183,8 +179,6 @@ class PackedRows:
         return len(self.rows) / self.n_levels
 
     # -- scatter --------------------------------------------------------
-    # pax: ignore[PAX202]: inverse of the pack step above; covered by
-    # the solve_islands <-> solve_island differential identity.
     def writeback(self):
         """Write solved impulses and body velocities back to objects."""
         from ..math3d import Vec3

@@ -19,7 +19,7 @@ Two rule families (see ``repro.lint.rules``):
   swallowed exceptions, mutable module/default-arg state.
 * **PAX2xx — cross-module contracts**, read from several files' ASTs
   at once: snapshot completeness (``Body``/``World`` state vs
-  ``WorldSnapshot``) and fastpath-kernel -> scalar-oracle coverage.
+  ``WorldSnapshot``).
 
 Findings are suppressed inline with ``# pax: ignore[PAXNNN]: reason``
 (the reason is mandatory).  Run ``python -m repro.lint --explain

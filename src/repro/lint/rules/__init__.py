@@ -5,8 +5,7 @@ Rules come in two kinds:
 * ``file`` rules get one :class:`~repro.lint.sources.SourceFile` at a
   time (the PAX1xx determinism family);
 * ``project`` rules get the whole parsed file set at once (the PAX2xx
-  contract family — snapshot completeness and kernel coverage span
-  several modules).
+  contract family — snapshot completeness spans several modules).
 
 Each rule owns a ``rationale``: the paragraph ``--explain PAXNNN``
 prints, stating *why* the pattern threatens bit-identical replay and

@@ -1,8 +1,8 @@
 """PAX2xx: cross-module contract rules.
 
-These rules read *several* files' ASTs at once and encode the two
-contracts that keep the engine's bit-identical-replay guarantee from
-rotting:
+These rules read *several* files' ASTs at once.  One so far, encoding
+the contract that keeps the engine's bit-identical-replay guarantee
+from rotting:
 
 * **PAX201** — snapshot completeness.  Every mutable field a
   ``Body.__init__`` or ``World.__init__`` creates must be captured by
@@ -10,22 +10,15 @@ rotting:
   ``WorldSnapshot.capture``/``restore`` respectively.  Add a field
   without snapshotting it and checkpoint rollback (and the future
   checkpoint->migrate->replay shard move) silently loses state.
-* **PAX202** — kernel coverage.  Every vectorized kernel in
-  ``repro.fastpath`` must be mapped to its named scalar counterpart in
-  the ``SCALAR_COUNTERPARTS`` registry (``repro/fastpath/__init__``),
-  and both endpoints must exist.  Rename either side and the
-  differential oracle would silently stop covering that kernel;
-  PAX202 turns that into a lint failure instead.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..findings import Finding
-from ..sources import SourceFile, load_source
+from ..sources import SourceFile
 from . import register
 from ._astutil import (
     attr_names_on,
@@ -35,10 +28,6 @@ from ._astutil import (
     self_assigned_fields,
     subscript_str_keys,
 )
-
-#: Name of the fastpath kernel -> scalar counterpart registry that
-#: PAX202 verifies (a plain dict literal in repro/fastpath/__init__).
-REGISTRY_NAME = "SCALAR_COUNTERPARTS"
 
 
 # -- PAX201 -------------------------------------------------------------
@@ -146,201 +135,3 @@ def _world_param(func: ast.FunctionDef, index: int) -> str:
     if len(args) > index:
         return args[index].arg
     return args[-1].arg if args else "world"
-
-
-# -- PAX202 -------------------------------------------------------------
-
-@register(
-    "PAX202", "fastpath-kernel-coverage", "project",
-    """\
-The numpy backend is only trustworthy because every vectorized kernel
-is held bit-identical to a named scalar oracle by the differential
-tests.  That link is recorded in fastpath.SCALAR_COUNTERPARTS:
-'module.kernel' -> 'repro.x.y.func' (or 'repro.x.y.Class.method').
-PAX202 cross-checks the registry against the ASTs on both sides:
-every public fastpath kernel must have an entry, every entry's key
-must still name a real kernel, and every entry's value must resolve
-to a real scalar symbol.  Rename or delete either side and the lint
-fails at the stale line instead of the oracle silently losing
-coverage.  Pure packing/precompute helpers with no scalar analogue
-are suppressed at their def line with the reason.""",
-)
-def check_pax202(files: List[SourceFile]) -> List[Finding]:
-    fastpath_files = [
-        src for src in files
-        if src.in_package("fastpath")
-        and os.path.basename(src.path) != "__init__.py"
-    ]
-    if not fastpath_files:
-        return []
-    findings: List[Finding] = []
-    kernels = _collect_kernels(fastpath_files)
-
-    registry = _find_registry(files)
-    if registry is None:
-        anchor = sorted(fastpath_files, key=lambda s: s.path)[0]
-        findings.append(Finding(
-            "PAX202", anchor.path, 1,
-            f"no {REGISTRY_NAME} registry found; fastpath kernels "
-            f"have no declared scalar counterparts"))
-        return findings
-    reg_src, reg_entries = registry
-
-    for key, (src, lineno) in sorted(kernels.items()):
-        if key not in reg_entries:
-            findings.append(Finding(
-                "PAX202", src.path, lineno,
-                f"fastpath kernel '{key}' has no scalar counterpart "
-                f"in {REGISTRY_NAME}"))
-    for key, (value, lineno) in sorted(reg_entries.items()):
-        if key not in kernels:
-            findings.append(Finding(
-                "PAX202", reg_src.path, lineno,
-                f"{REGISTRY_NAME} maps unknown kernel '{key}' "
-                f"(renamed or removed?)"))
-            continue
-        problem = _resolve_scalar(value, files, reg_src)
-        if problem is not None:
-            findings.append(Finding(
-                "PAX202", reg_src.path, lineno,
-                f"scalar counterpart '{value}' of kernel '{key}' "
-                f"does not resolve: {problem}"))
-    return findings
-
-
-def _collect_kernels(
-        fastpath_files: List[SourceFile],
-) -> Dict[str, Tuple[SourceFile, int]]:
-    """Public kernels: ``mod.func`` and ``mod.Class.method``."""
-    kernels: Dict[str, Tuple[SourceFile, int]] = {}
-    for src in fastpath_files:
-        mod = src.module.split(".")[-1]
-        for node in src.tree.body:
-            if isinstance(node, ast.FunctionDef) \
-                    and not node.name.startswith("_"):
-                kernels[f"{mod}.{node.name}"] = (src, node.lineno)
-            elif isinstance(node, ast.ClassDef) \
-                    and not node.name.startswith("_"):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) \
-                            and not sub.name.startswith("_"):
-                        key = f"{mod}.{node.name}.{sub.name}"
-                        kernels[key] = (src, sub.lineno)
-    return kernels
-
-
-def _find_registry(
-        files: List[SourceFile],
-) -> Optional[Tuple[SourceFile, Dict[str, Tuple[str, int]]]]:
-    for src in sorted(files, key=lambda s: s.path):
-        for node in src.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            names = [t.id for t in node.targets
-                     if isinstance(t, ast.Name)]
-            if REGISTRY_NAME not in names:
-                continue
-            if not isinstance(node.value, ast.Dict):
-                continue
-            entries: Dict[str, Tuple[str, int]] = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if isinstance(key, ast.Constant) \
-                        and isinstance(key.value, str) \
-                        and isinstance(value, ast.Constant) \
-                        and isinstance(value.value, str):
-                    entries[key.value] = (value.value, key.lineno)
-            return src, entries
-    return None
-
-
-_parse_cache: Dict[str, Optional[ast.Module]] = {}
-
-
-def _resolve_scalar(dotted: str, files: List[SourceFile],
-                    reg_src: SourceFile) -> Optional[str]:
-    """Check ``repro.a.b.Symbol[.method]`` exists; None when it does.
-
-    Resolution prefers the linted file set but falls back to parsing
-    the module off disk (relative to the ``repro`` package root), so
-    linting just ``src/repro/fastpath`` still verifies counterparts
-    living in ``src/repro/dynamics``.
-    """
-    parts = dotted.split(".")
-    if parts[0] != "repro" or len(parts) < 2:
-        return "counterpart must be a dotted 'repro.*' path"
-    root = reg_src.repro_root
-    if root is None:
-        return "cannot locate the repro package root"
-    dir_path = root
-    idx = 1
-    while idx < len(parts):
-        nxt = os.path.join(dir_path, parts[idx])
-        if os.path.isdir(nxt):
-            dir_path = nxt
-            idx += 1
-            continue
-        break
-    if idx < len(parts) and \
-            os.path.isfile(os.path.join(dir_path,
-                                        parts[idx] + ".py")):
-        mod_file = os.path.join(dir_path, parts[idx] + ".py")
-        symbols = parts[idx + 1:]
-    else:
-        mod_file = os.path.join(dir_path, "__init__.py")
-        symbols = parts[idx:]
-    if not os.path.isfile(mod_file):
-        return f"module file for '{dotted}' not found"
-    if not symbols:
-        return "counterpart names a module, not a function/method"
-    tree = _module_tree(mod_file, files)
-    if tree is None:
-        return f"could not parse {mod_file}"
-    return _lookup_symbol(tree, symbols, dotted)
-
-
-def _module_tree(mod_file: str,
-                 files: List[SourceFile]) -> Optional[ast.Module]:
-    ap = os.path.abspath(mod_file)
-    for src in files:
-        if src.path == ap:
-            return src.tree
-    if ap not in _parse_cache:
-        try:
-            _parse_cache[ap] = load_source(ap).tree
-        except (OSError, SyntaxError):
-            _parse_cache[ap] = None
-    return _parse_cache[ap]
-
-
-def _lookup_symbol(tree: ast.Module, symbols: List[str],
-                   dotted: str) -> Optional[str]:
-    name = symbols[0]
-    target: Optional[ast.AST] = None
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and node.name == name:
-            target = node
-            break
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
-                for t in node.targets):
-            target = node
-            break
-    if target is None:
-        return f"no top-level symbol '{name}'"
-    if len(symbols) == 1:
-        return None
-    if not isinstance(target, ast.ClassDef):
-        return f"'{name}' is not a class but '{dotted}' names a " \
-               f"method on it"
-    method = symbols[1]
-    if len(symbols) > 2:
-        return f"too many trailing parts in '{dotted}'"
-    if find_method(target, method) is None:
-        found: Set[str] = {
-            n.name for n in target.body
-            if isinstance(n, ast.FunctionDef)}
-        hint = ", ".join(sorted(found)[:6])
-        return f"class '{name}' has no method '{method}' " \
-               f"(has: {hint})"
-    return None

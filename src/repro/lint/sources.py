@@ -89,9 +89,9 @@ def _find_repro_root(path: str) -> Optional[str]:
     """Absolute path of the ``repro`` package directory above ``path``.
 
     Identified by walking up until a directory literally named
-    ``repro`` containing an ``__init__.py``; lets the contract rules
-    resolve dotted names like ``repro.cloth.Cloth.step`` to files even
-    when only a sub-package was passed on the command line.
+    ``repro`` containing an ``__init__.py``; gives every file its
+    dotted module name even when only a sub-package was passed on the
+    command line.
     """
     cur = os.path.dirname(path)
     while True:

@@ -25,8 +25,10 @@ it)::
 
     asyncio.run(main())
 
-Load test: ``python -m repro.serve.loadtest`` (writes
-``serve_loadtest.json``).
+A full shard inbox raises :class:`BackpressureError` before anything is
+queued; clients re-issue the call after a backoff (``docs/serve.md``).
+Served-fleet performance is the ``fleet_serve`` workload of
+``python bench/run.py``.
 """
 
 from .cluster import SimCluster

@@ -138,7 +138,7 @@ class ShardMetrics:
 
     Workers own one instance each; ``snapshot()`` travels the wire and
     :func:`merge_snapshots` folds any number of them into the
-    cluster-wide view the load-test report prints.
+    cluster-wide view ``SimService.stats`` returns.
     """
 
     def __init__(self, shard_id: int):

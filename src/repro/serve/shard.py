@@ -163,47 +163,59 @@ class ShardWorker:
         self._pump(runtime, outbox)
 
     def _pump(self, runtime: SessionRuntime, outbox):
-        """Execute queued commands until a step job takes over."""
+        """Execute queued commands until a step job takes over.
+
+        Runs under ``_dispatch`` and, after a step job ends, under the
+        frame round, so it guards each command itself: one that raises
+        gets a typed error reply and the commands behind it still run.
+        """
         while runtime.pending and runtime.step_job is None:
             msg = runtime.pending.popleft()
-            verb = msg["verb"]
-            req_id = msg.get("req_id", -1)
-            args = msg.get("args") or {}
-            if verb == "step":
-                frames = int(args.get("frames", 1))
-                if frames <= 0:
-                    outbox.put(protocol.ok_reply(
-                        req_id, self._describe(runtime)))
-                    continue
-                runtime.step_job = {"req_id": req_id,
-                                    "remaining": frames}
-            elif verb == "query":
-                outbox.put(protocol.ok_reply(
-                    req_id, runtime.session.describe()))
-            elif verb == "checkpoint":
-                outbox.put(protocol.ok_reply(
-                    req_id, runtime.session.checkpoint()))
-            elif verb == "destroy":
-                runtime.session.close()
-                self.sessions.pop(runtime.session_id, None)
-                self.metrics.forget_session(runtime.session_id)
-                self.metrics.count("sessions_destroyed")
+            try:
+                self._execute(runtime, msg, outbox)
+            except Exception as exc:  # noqa: BLE001 - becomes a typed reply
+                self.metrics.count("errors")
+                outbox.put(protocol.error_reply(msg.get("req_id", -1),
+                                                exc))
+
+    def _execute(self, runtime: SessionRuntime, msg: dict, outbox):
+        verb = msg["verb"]
+        req_id = msg.get("req_id", -1)
+        args = msg.get("args") or {}
+        if verb == "step":
+            frames = int(args.get("frames", 1))
+            if frames <= 0:
                 outbox.put(protocol.ok_reply(
                     req_id, self._describe(runtime)))
-                # No round will visit this runtime again: refuse what
-                # was queued behind the destroy now, in order.
-                while runtime.pending:
-                    late = runtime.pending.popleft()
-                    self.metrics.count("errors")
-                    outbox.put(protocol.error_reply(
-                        late.get("req_id", -1),
-                        protocol.UnknownSessionError(
-                            f"session {runtime.session_id!r} was "
-                            f"destroyed before {late['verb']!r} ran")))
             else:
+                runtime.step_job = {"req_id": req_id,
+                                    "remaining": frames}
+        elif verb == "query":
+            outbox.put(protocol.ok_reply(
+                req_id, runtime.session.describe()))
+        elif verb == "checkpoint":
+            outbox.put(protocol.ok_reply(
+                req_id, runtime.session.checkpoint()))
+        elif verb == "destroy":
+            runtime.session.close()
+            self.sessions.pop(runtime.session_id, None)
+            self.metrics.forget_session(runtime.session_id)
+            self.metrics.count("sessions_destroyed")
+            outbox.put(protocol.ok_reply(
+                req_id, self._describe(runtime)))
+            # No round will visit this runtime again: refuse what
+            # was queued behind the destroy now, in order.
+            while runtime.pending:
+                late = runtime.pending.popleft()
+                self.metrics.count("errors")
                 outbox.put(protocol.error_reply(
-                    req_id, protocol.UnknownVerbError(
-                        f"verb {verb!r} cannot be queued")))
+                    late.get("req_id", -1),
+                    protocol.UnknownSessionError(
+                        f"session {runtime.session_id!r} was "
+                        f"destroyed before {late['verb']!r} ran")))
+        else:
+            raise protocol.UnknownVerbError(
+                f"verb {verb!r} cannot be queued")
 
     # -- frame rounds ---------------------------------------------------
     def _frame_round(self, outbox):

@@ -1,8 +1,11 @@
-"""Make ``src/`` importable whether or not PYTHONPATH is set, and pin
-the Hypothesis execution profiles."""
+"""Make ``src/`` importable whether or not PYTHONPATH is set, pin the
+Hypothesis execution profiles, and share the suite's one regeneration
+of ``results/``."""
 
 import os
 import sys
+
+import pytest
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
@@ -27,6 +30,21 @@ if settings is not None:
     settings.load_profile(
         "ci" if os.environ.get("CI") else
         os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(scope="session")
+def regen():
+    """``(runs, tables)`` of the one regeneration the suite makes;
+    ``tests/test_paper_shapes.py`` pins it, ``tests/test_ablation.py``
+    reads the feature matrix's data from it."""
+    from repro.analysis.__main__ import regenerate
+    from repro.api import Session, SessionSpec
+
+    # Leave the process-global uid counters where a busy process would:
+    # touch-trace addresses derive from uids, so a regeneration that
+    # read them would no longer match the pinned files.
+    Session.create(SessionSpec("periodic", scale=0.02), isolate_uids=False)
+    return regenerate()
 
 
 def pytest_addoption(parser):

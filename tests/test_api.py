@@ -36,6 +36,12 @@ class TestSessionSpec:
     def test_unknown_config_field_rejected(self):
         with pytest.raises(TypeError):
             WorldConfig().replace(not_a_field=1.0)
+        # ... and a spec patch (how the ablation matrix spells a
+        # toggle) cannot smuggle one in either.
+        with pytest.raises(TypeError, match="unknown WorldConfig"):
+            SessionSpec("periodic", config={"not_a_field": 1.0})
+        with pytest.raises(TypeError):
+            SessionSpec("periodic", solver="off")
 
 
 class TestDeprecationShims:

@@ -1,5 +1,5 @@
 """PaxLint: per-rule fixtures, suppression mechanics, the
-self-lint gate, and the PAX201/PAX202 contract-regression demos.
+self-lint gate, and the PAX201 contract-regression demo.
 
 Every rule gets at least one snippet that must trigger and one that
 must not.  Snippets are written into a throwaway ``repro`` package
@@ -329,65 +329,6 @@ def test_pax201_demo_deleting_world_capture_field_fails_lint(tmp_path):
                         select=["PAX201"])
     msgs = [f.message for f in active(result.findings)]
     assert any("culled" in m for m in msgs)
-
-
-# -- PAX202: fastpath kernel coverage -----------------------------------
-
-def _mini_fastpath(tmp_path, registry, kernel="def warp(x):\n"
-                                              "    return x\n"):
-    root = str(tmp_path)
-    write_module(root, "repro/__init__.py", "")
-    write_module(root, "repro/dynamics/solver.py",
-                 "def solve_island(rows, iters):\n    return rows\n")
-    write_module(root, "repro/fastpath/kernels.py", kernel)
-    write_module(root, "repro/fastpath/__init__.py",
-                 f"SCALAR_COUNTERPARTS = {registry!r}\n")
-    result = lint_paths([os.path.join(root, "repro")],
-                        select=["PAX202"])
-    return active(result.findings)
-
-
-def test_pax202_clean_registry_passes(tmp_path):
-    hits = _mini_fastpath(
-        tmp_path,
-        {"kernels.warp": "repro.dynamics.solver.solve_island"})
-    assert hits == []
-
-
-def test_pax202_triggers_on_unmapped_kernel(tmp_path):
-    hits = _mini_fastpath(tmp_path, {})
-    assert len(hits) == 1 and "no scalar counterpart" in hits[0].message
-
-
-def test_pax202_triggers_on_dangling_key_and_value(tmp_path):
-    hits = _mini_fastpath(
-        tmp_path,
-        {"kernels.warp": "repro.dynamics.solver.gone",
-         "kernels.vanished": "repro.dynamics.solver.solve_island"})
-    messages = " | ".join(f.message for f in hits)
-    assert "does not resolve" in messages
-    assert "unknown kernel 'kernels.vanished'" in messages
-
-
-def test_pax202_demo_renaming_kernel_fails_lint(tmp_path):
-    """Acceptance demo: rename a real fastpath kernel and the registry
-    cross-check fails on the stale entry."""
-    root = str(tmp_path / "demo")
-    shutil.copytree(os.path.join(REPO_SRC, "repro"),
-                    os.path.join(root, "repro"))
-    solver_py = os.path.join(root, "repro", "fastpath", "solver.py")
-    with open(solver_py) as fh:
-        text = fh.read()
-    assert "def solve_islands(" in text
-    with open(solver_py, "w") as fh:
-        fh.write(text.replace("def solve_islands(",
-                              "def solve_islands_v2("))
-    result = lint_paths([os.path.join(root, "repro")],
-                        select=["PAX202"])
-    msgs = [f.message for f in active(result.findings)]
-    assert any("solver.solve_islands" in m and "renamed" in m
-               for m in msgs)
-    assert any("solver.solve_islands_v2" in m for m in msgs)
 
 
 # -- suppressions & PAX001 ----------------------------------------------

@@ -2,7 +2,8 @@
 
 One regeneration through :func:`repro.analysis.__main__.regenerate` —
 the function ``python -m repro.analysis`` calls — at the committed
-setting (scale 0.03, 2 frames, seed 0), then (a) every rendered table
+setting (scale 0.03, 2 frames, seed 0; the session-wide ``regen``
+fixture of ``tests/conftest.py``), then (a) every rendered table
 is pinned byte for byte to ``results/<name>.txt`` and (b) each figure's
 qualitative *shape* (orderings, plateaus, crossovers) is asserted on
 the driver's data.  The shapes are scale-invariant; the pin is not.
@@ -13,9 +14,8 @@ import os
 
 import pytest
 
-from repro.analysis.__main__ import EXPERIMENTS, regenerate
+from repro.analysis.__main__ import EXPERIMENTS
 from repro.analysis.tables import PAPER_TABLE4
-from repro.api import Session, SessionSpec
 from repro.arch.area import area_mm2, fg_pool_area
 from repro.arch.model2 import paper_example_seconds
 from repro.profiling.report import PARALLEL_PHASES, PHASES
@@ -23,15 +23,6 @@ from repro.profiling.tasks import phase_cg_speedup
 
 RESULTS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
-
-
-@pytest.fixture(scope="module")
-def regen():
-    # Leave the process-global uid counters where a busy process would:
-    # touch-trace addresses derive from uids, so a regeneration that
-    # read them would no longer match the pinned files.
-    Session.create(SessionSpec("periodic", scale=0.02), isolate_uids=False)
-    return regenerate()
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ from repro.api import Session, SessionSpec
 from repro.serve import (BackpressureError, FrameTimeHistogram,
                          RoutingTable, SessionExistsError, ShardOptions,
                          ShardTimeoutError, ShardWorker, SimService,
-                         UnknownSessionError, merge_snapshots,
-                         serve_tcp, shard_for)
+                         UnknownSessionError, WorkerError,
+                         merge_snapshots, serve_tcp, shard_for)
 from repro.serve import protocol
 
 
@@ -168,6 +168,39 @@ class TestShardWorker:
                 protocol.raise_if_error(reply)
         assert worker.sessions == {}
         assert worker.metrics.counters["errors"] == 3
+
+    def test_raising_command_queued_behind_a_step_gets_a_typed_reply(self):
+        """A queued command runs from the frame round, outside
+        ``_dispatch``'s guard; if it raises, that is one error reply,
+        not the death of the worker and every session on it."""
+        worker, outbox = ShardWorker(0), Outbox()
+        for req_id, sid in enumerate(("s", "other")):
+            worker._dispatch(protocol.request(
+                req_id, "create", sid, spec=spec().to_dict()), outbox)
+        worker._dispatch(protocol.request(2, "step", "s"), outbox)
+        worker._dispatch(protocol.request(3, "step", "s", frames="abc"),
+                         outbox)
+        worker._dispatch(protocol.request(4, "query", "s"), outbox)
+        while worker._has_step_work():
+            worker._frame_round(outbox)
+        assert [reply["req_id"] for reply in outbox] == [0, 1, 2, 3, 4]
+        assert [reply["ok"] for reply in outbox] \
+            == [True, True, True, False, True]
+        with pytest.raises(WorkerError, match="invalid literal"):
+            protocol.raise_if_error(outbox[3])
+        assert outbox[4]["result"]["frame_index"] == 1
+        assert worker.metrics.counters["errors"] == 1
+        # Same reply when nothing is ahead of it (the _dispatch path),
+        # and the shard's other session is still served.
+        worker._dispatch(protocol.request(5, "step", "s", frames="abc"),
+                         outbox)
+        worker._dispatch(protocol.request(6, "step", "other"), outbox)
+        while worker._has_step_work():
+            worker._frame_round(outbox)
+        assert [(reply["req_id"], reply["ok"]) for reply in outbox[5:]] \
+            == [(5, False), (6, True)]
+        assert outbox[5]["error"] == outbox[3]["error"]
+        assert worker.metrics.counters["errors"] == 2
 
     def test_round_packs_scalar_sessions_too(self):
         """Which sessions share a solve is ``SessionGroup``'s rule, and
@@ -425,25 +458,3 @@ class TestService:
         assert all(r["ok"] for r in replies.values())
         assert replies[3]["result"]["frame_index"] == 2
         assert len(replies[3]["result"]["digest"]) == 64
-
-
-# -- end-to-end: load-test harness --------------------------------------
-def test_loadtest_micro_run(tmp_path):
-    from repro.serve.loadtest import build_parser, run_loadtest
-
-    out = tmp_path / "serve_loadtest.json"
-    opts = build_parser().parse_args([
-        "--sessions", "8", "--workers", "2", "--frames", "4",
-        "--round-frames", "2", "--migrate", "1", "--verify", "2",
-        "--out", str(out)])
-    report = asyncio.run(run_loadtest(opts))
-    out.write_text(json.dumps(report))
-
-    assert report["frames_total"] == 32
-    assert report["throughput_fps"] > 0
-    assert report["counters"]["frames"] == 32
-    assert report["migration"]["count"] == 1
-    assert report["migration"]["verified"]
-    assert report["migration"]["divergence"] == 0.0
-    assert report["frame_time_summary"]["p95_s"] > 0
-    assert len(report["shards"]) == 2
