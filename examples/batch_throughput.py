@@ -17,7 +17,7 @@ import sys
 import time
 
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
-from repro.fastpath import BatchWorld, default_backend
+from repro.fastpath import BatchWorld
 from repro.workloads import BENCHMARKS
 
 FRAMES = 10
@@ -27,9 +27,8 @@ SCALE = 0.05
 def build_fleet(n, backend):
     worlds, drivers = [], []
     for seed in range(n):
-        with default_backend(backend):
-            world, driver = BENCHMARKS["ragdoll"].build(scale=SCALE,
-                                                        seed=seed)
+        world, driver = BENCHMARKS["ragdoll"].build(scale=SCALE, seed=seed,
+                                                    backend=backend)
         worlds.append(world)
         drivers.append(driver)
     return worlds, drivers

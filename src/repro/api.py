@@ -31,8 +31,7 @@ import hashlib
 from .collision import Geom
 from .dynamics import Body
 from .engine import WorldConfig
-from .fastpath import (BatchWorld, cohort_key, default_backend,
-                       resolve_backend)
+from .fastpath import BatchWorld, cohort_key, resolve_backend
 
 __all__ = ["SessionSpec", "Session", "SessionGroup", "UidScope",
            "run_scenario"]
@@ -257,9 +256,8 @@ class Session:
         installed = (contextlib.nullcontext() if passthrough
                      else scope.installed())
         with installed:
-            with default_backend(spec.backend):
-                world, driver = bench.build(scale=spec.scale,
-                                            seed=spec.seed)
+            world, driver = bench.build(scale=spec.scale, seed=spec.seed,
+                                        backend=spec.backend)
             _apply_config_overrides(world, spec.config)
 
             guard = injector = None

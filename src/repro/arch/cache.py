@@ -202,11 +202,3 @@ class CacheSim:
         for block in blocks:
             self.access(block, label)
         return self
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        n = self.accesses
-        return self.misses / n if n else 0.0

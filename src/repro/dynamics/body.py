@@ -85,10 +85,6 @@ class Body:
             self.refresh_world_inertia()
         return self._inv_inertia_world
 
-    def velocity_at_point(self, world_point: Vec3) -> Vec3:
-        r = world_point - self.position
-        return self.linear_velocity + self.angular_velocity.cross(r)
-
     def kinetic_energy(self) -> float:
         lin = 0.5 * self.mass * self.linear_velocity.length_squared()
         w = self.angular_velocity
@@ -103,9 +99,6 @@ class Body:
         if at_point is not None:
             self.torque = self.torque + (at_point - self.position).cross(
                 force)
-
-    def apply_torque(self, torque: Vec3):
-        self.torque = self.torque + torque
 
     def apply_impulse(self, impulse: Vec3, at_point: Vec3 = None):
         if self.inv_mass == 0.0:

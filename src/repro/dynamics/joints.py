@@ -240,9 +240,6 @@ class HingeJoint(Joint):
         self.limit_hi = state["limit_hi"]
         return self
 
-    def clear_motor(self):
-        self.motor_velocity = None
-
     def set_limits(self, lo: float, hi: float):
         self.limit_lo = lo
         self.limit_hi = hi

@@ -101,8 +101,7 @@ class World:
         # ``backend`` names the kernel set every phase of ``step`` runs
         # on: ``"scalar"`` is the per-object reference in
         # ``engine.scalar``, ``"numpy"`` the bit-identical SoA kernels
-        # of ``repro.fastpath``.  ``None`` defers to
-        # ``fastpath.default_backend()`` / $REPRO_BACKEND.
+        # of ``repro.fastpath``.  ``None`` defers to $REPRO_BACKEND.
         # pax: ignore[PAX201]: structural choice fixed at construction;
         # both backends replay snapshots bit-identically by contract.
         self.backend = resolve_backend(backend)
@@ -168,13 +167,6 @@ class World:
         body.set_mass_from_shape(shape, density)
         geom = Geom(shape, body=body, friction=friction,
                     restitution=restitution)
-        geom.index = len(self.geoms)
-        self.geoms.append(geom)
-        return geom
-
-    def add_geom(self, geom: Geom) -> Geom:
-        if geom.body is not None:
-            self.add_body(geom.body)
         geom.index = len(self.geoms)
         self.geoms.append(geom)
         return geom
@@ -521,7 +513,3 @@ class World:
         else:
             for b in island.bodies:
                 b.wake()
-
-    # -- diagnostics ----------------------------------------------------
-    def total_kinetic_energy(self) -> float:
-        return sum(b.kinetic_energy() for b in self.dynamic_bodies())

@@ -11,9 +11,9 @@ exactly the local evidence a reviewer would use.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..sources import SourceFile
+from .sources import SourceFile
 
 
 def build_parents(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
@@ -131,16 +131,6 @@ class SetTypes:
 
 # -- misc ---------------------------------------------------------------
 
-def iter_comprehension_loops(
-        node: ast.AST) -> Iterator[Tuple[ast.AST, ast.comprehension]]:
-    """(owner, generator) pairs for every comprehension generator."""
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.ListComp, ast.SetComp, ast.DictComp,
-                            ast.GeneratorExp)):
-            for gen in sub.generators:
-                yield sub, gen
-
-
 def call_arg_of(parents: Dict[ast.AST, ast.AST],
                 node: ast.AST) -> Optional[ast.Call]:
     """The Call whose *direct* argument list contains ``node``."""
@@ -155,17 +145,6 @@ def func_name_of_call(call: ast.Call) -> Optional[str]:
         return call.func.id
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
-    return None
-
-
-def enclosing_function(
-        parents: Dict[ast.AST, ast.AST],
-        node: ast.AST) -> Optional[ast.AST]:
-    cur: Optional[ast.AST] = parents.get(node)
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return cur
-        cur = parents.get(cur)
     return None
 
 
@@ -204,9 +183,7 @@ def subscript_str_keys(node: ast.AST) -> Set[str]:
 
 
 def _const_str_slice(sub: ast.Subscript) -> Set[str]:
-    sl: ast.AST = sub.slice
-    if isinstance(sl, ast.Index):  # py38 compat shape
-        sl = sl.value  # type: ignore[attr-defined]
+    sl = sub.slice
     if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
         return {sl.value}
     return set()

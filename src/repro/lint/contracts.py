@@ -17,9 +17,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Tuple
 
-from ..findings import Finding
-from ..sources import SourceFile
-from . import register
+from .sources import Finding, SourceFile
 from ._astutil import (
     attr_names_on,
     dict_literal_keys,
@@ -32,21 +30,6 @@ from ._astutil import (
 
 # -- PAX201 -------------------------------------------------------------
 
-@register(
-    "PAX201", "snapshot-completeness", "project",
-    """\
-WorldSnapshot restore replaying bit-identically is the resilience
-layer's rollback primitive and the planned shard-migration primitive
-(checkpoint -> move -> replay).  That only holds while the snapshot is
-*complete*: every mutable field Body.__init__ or World.__init__
-creates must appear in Body.snapshot_state AND Body.restore_state
-(for bodies) or be read by WorldSnapshot.capture AND written by
-WorldSnapshot.restore (for world state).  This rule diffs those
-ASTs, so adding a field without wiring it through checkpointing is a
-lint error at the line that declared it.  Derived caches and
-construction-time structure are legitimately excluded — suppress at
-the declaring line with the reason.""",
-)
 def check_pax201(files: List[SourceFile]) -> List[Finding]:
     findings: List[Finding] = []
     body_src, body_cls = _find_one(files, "Body",

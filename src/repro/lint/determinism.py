@@ -1,12 +1,13 @@
 """PAX1xx: determinism / numeric-safety rules for the simulation core.
 
-These rules fire only in the simulation packages (``collision``,
-``dynamics``, ``engine``, ``cloth``, ``fastpath``, ``resilience`` —
-see :data:`repro.lint.sources.SIM_PACKAGES`): code there runs inside
-the deterministic step path, where bit-identical replay is the
-contract the differential oracle, checkpoint rollback, and future
-shard migration all stand on.  Analysis, profiling, and workload
-builders are deliberately out of scope.
+Each check reads one file; the rule table runs it over the simulation
+packages only (``collision``, ``dynamics``, ``engine``, ``cloth``,
+``fastpath``, ``resilience``, ``serve`` — see
+:data:`repro.lint.sources.SIM_PACKAGES`): code there runs inside the
+deterministic step path, where bit-identical replay is the contract
+the differential oracle, checkpoint rollback, and shard migration all
+stand on.  Analysis, profiling, and workload builders are deliberately
+out of scope.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from ..findings import Finding
-from ..sources import SourceFile
-from . import register
+from .sources import Finding, SourceFile
 from ._astutil import (
     SetTypes,
     build_parents,
@@ -43,11 +42,6 @@ _WALL_CLOCK = (
 _MUTABLE_CALLS = ("list", "dict", "set", "bytearray", "defaultdict",
                   "deque", "OrderedDict", "Counter")
 
-#: numpy.random attributes that are fine *when given arguments* (they
-#: construct / seed an explicit generator instead of using the hidden
-#: process-global one).
-_NP_SEEDED_OK = ("default_rng", "RandomState", "SeedSequence", "seed")
-
 
 def _is_mutable_literal(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
@@ -61,21 +55,7 @@ def _is_mutable_literal(node: ast.expr) -> bool:
 
 # -- PAX101 / PAX105: unordered iteration & accumulation ----------------
 
-@register(
-    "PAX101", "unordered-iteration", "file",
-    """\
-Iterating a set (or anything set-typed in this file) visits elements
-in hash order, which varies with insertion history and, for str keys,
-across interpreter runs (PYTHONHASHSEED).  Any state mutation, contact
-generation, or list built inside such a loop therefore breaks
-bit-identical replay — the oracle the differential tests, checkpoint
-rollback, and shard migration all rely on.  Iterate a list, or wrap
-the iterable in sorted(...) with a deterministic key.  Order-free
-reductions (len/min/max/any/all/sorted itself) are exempt.""",
-)
 def check_pax101(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     sets = SetTypes(src)
     parents = build_parents(src.tree)
     findings: List[Finding] = []
@@ -123,20 +103,7 @@ def check_pax101(src: SourceFile) -> List[Finding]:
     return findings
 
 
-@register(
-    "PAX105", "unordered-float-accumulation", "file",
-    """\
-Float addition is not associative: summing the same values in a
-different order changes the last ulp, and one ulp is all it takes to
-break the engine's divergence==0.0 oracle.  sum()/accumulation over a
-set (or generator drawing from one) therefore silently varies run to
-run even though the *mathematical* result is order-free.  Accumulate
-over a list or sorted(...) sequence; math.fsum (correctly rounded,
-order-independent) is exempt.""",
-)
 def check_pax105(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     sets = SetTypes(src)
     findings: List[Finding] = []
 
@@ -171,19 +138,7 @@ def check_pax105(src: SourceFile) -> List[Finding]:
 
 # -- PAX102: id() -------------------------------------------------------
 
-@register(
-    "PAX102", "id-as-key-or-order", "file",
-    """\
-id() returns a memory address, which differs between runs, between the
-scalar and numpy backends, and after a checkpoint restore respawns
-objects.  Using it in a sort key, a hash/dict key, or any comparison
-makes behavior depend on the allocator, not the simulation.  Engine
-objects carry a deterministic creation-ordered .uid for exactly this
-purpose — key and sort on that instead.""",
-)
 def check_pax102(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     findings: List[Finding] = []
     for node in ast.walk(src.tree):
         if isinstance(node, ast.Call) \
@@ -198,21 +153,7 @@ def check_pax102(src: SourceFile) -> List[Finding]:
 
 # -- PAX103: unseeded randomness ----------------------------------------
 
-@register(
-    "PAX103", "unseeded-rng", "file",
-    """\
-The process-global RNGs (random.*, numpy.random.* legacy functions)
-and unseeded generator constructors (random.Random(),
-numpy.random.default_rng() with no argument) draw from OS entropy or
-shared hidden state, so two runs — or two worlds in one process —
-see different streams.  Everything stochastic in the engine must flow
-from an explicit seed threaded through the call (random.Random(seed),
-default_rng(seed)), the pattern repro.resilience.FaultInjector
-already uses.""",
-)
 def check_pax103(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     aliases = import_aliases(src.tree)
     findings: List[Finding] = []
     for node in ast.walk(src.tree):
@@ -259,21 +200,7 @@ def _rng_violation(origin: str, has_args: bool) -> Optional[str]:
 
 # -- PAX104: wall clock in the step path --------------------------------
 
-@register(
-    "PAX104", "wall-clock-in-step-path", "file",
-    """\
-Wall-clock reads (time.time, perf_counter, datetime.now, ...) differ
-every run, so any value derived from them inside the step path makes
-trajectories non-replayable — and sneaks real time into code that
-must behave identically on a live shard and on its migrated replica
-replaying a checkpoint.  Simulation time is world.time/step_index,
-advanced by fixed dt.  Timing *measurement* belongs in
-repro.profiling or the benchmark harnesses, which are out of scope
-for this rule.""",
-)
 def check_pax104(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module() or src.in_package("profiling"):
-        return []
     aliases = import_aliases(src.tree)
     findings: List[Finding] = []
     for node in ast.walk(src.tree):
@@ -290,21 +217,7 @@ def check_pax104(src: SourceFile) -> List[Finding]:
 
 # -- PAX106: swallowed exceptions ---------------------------------------
 
-@register(
-    "PAX106", "silent-exception-swallow", "file",
-    """\
-A bare 'except:' (or a broad 'except Exception: pass') inside the
-step path converts a corrupted simulation state into a silently
-wrong one: the step completes, the divergence only surfaces frames
-later, and the watchdog's rollback ladder never fires because nothing
-raised.  The engine's failure policy is the opposite — validate,
-raise, and let repro.resilience.StepWatchdog roll back to the last
-good snapshot.  Catch specific exceptions and either re-raise or
-leave a visible trace in the world's health signals.""",
-)
 def check_pax106(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     findings: List[Finding] = []
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.ExceptHandler):
@@ -346,21 +259,7 @@ def _body_is_silent(body: List[ast.stmt]) -> bool:
 
 # -- PAX107: mutable module/default-arg state ---------------------------
 
-@register(
-    "PAX107", "mutable-shared-state", "file",
-    """\
-Mutable module-level containers and mutable default arguments are
-process-global state: two worlds stepping in one process (BatchWorld,
-the future sharded service) would observe each other through them,
-and a world's behavior would depend on what ran before it — the exact
-coupling that makes replay-from-checkpoint diverge.  Keep per-world
-state on the World, pass explicit arguments, and reserve module level
-for immutable constants (ALL_CAPS names are treated as such and are
-exempt; write-once registries qualify).""",
-)
 def check_pax107(src: SourceFile) -> List[Finding]:
-    if not src.is_sim_module():
-        return []
     findings: List[Finding] = []
     findings.extend(_module_level_mutables(src))
     for node in ast.walk(src.tree):

@@ -36,14 +36,6 @@ class Mat3:
     def diagonal(a: float, b: float, c: float) -> "Mat3":
         return Mat3([[a, 0.0, 0.0], [0.0, b, 0.0], [0.0, 0.0, c]])
 
-    @staticmethod
-    def from_columns(c0: Vec3, c1: Vec3, c2: Vec3) -> "Mat3":
-        return Mat3([
-            [c0.x, c1.x, c2.x],
-            [c0.y, c1.y, c2.y],
-            [c0.z, c1.z, c2.z],
-        ])
-
     def __getitem__(self, idx: int) -> List[float]:
         return self.m[idx]
 

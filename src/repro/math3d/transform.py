@@ -39,13 +39,6 @@ class Transform:
         """Rotate only (directions, not points)."""
         return self.orientation.rotate(local_vec)
 
-    def compose(self, other: "Transform") -> "Transform":
-        """self ∘ other: apply ``other`` first, then ``self``."""
-        return Transform(
-            self.apply(other.position),
-            (self.orientation * other.orientation).normalized(),
-        )
-
     def inverse(self) -> "Transform":
         inv_q = self.orientation.conjugate()
         return Transform(inv_q.rotate(-self.position), inv_q)

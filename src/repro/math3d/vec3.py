@@ -8,7 +8,7 @@ operation bit-deterministic across runs, which the determinism checker
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class Vec3:
@@ -28,10 +28,6 @@ class Vec3:
     @staticmethod
     def zero() -> "Vec3":
         return Vec3(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_seq(seq: Sequence[float]) -> "Vec3":
-        return Vec3(seq[0], seq[1], seq[2])
 
     def copy(self) -> "Vec3":
         return Vec3(self.x, self.y, self.z)

@@ -34,10 +34,11 @@ class Benchmark:
         self.description = description
         self._builder = builder
 
-    def build(self, scale: float = 1.0, seed: int = 0):
-        """Returns (world, driver); driver may be None."""
-        world, driver = self._builder(scale, seed)
-        return world, driver
+    def build(self, scale: float = 1.0, seed: int = 0,
+              backend: str = None):
+        """Returns (world, driver); driver may be None. ``backend``
+        names the world's kernel set (see ``repro.fastpath``)."""
+        return self._builder(scale, seed, backend)
 
     def __repr__(self):
         return f"Benchmark({self.name!r})"
@@ -47,10 +48,10 @@ class Benchmark:
 # builders
 
 
-def _build_periodic(scale, seed):
+def _build_periodic(scale, seed, backend):
     """Bouncing balls/crates in periodic motion (Table 3: Periodic)."""
     rng = random.Random(seed)
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     n = _count(480, scale)
     side = max(2, int(math.sqrt(n)))
@@ -69,10 +70,10 @@ def _build_periodic(scale, seed):
     return world, None
 
 
-def _build_ragdoll(scale, seed):
+def _build_ragdoll(scale, seed, backend):
     """Tossed humanoids (Table 3: Ragdoll)."""
     rng = random.Random(seed)
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     n = _count(30, scale)
     side = max(1, int(math.sqrt(n)))
@@ -88,9 +89,9 @@ def _build_ragdoll(scale, seed):
     return world, None
 
 
-def _build_continuous(scale, seed):
+def _build_continuous(scale, seed, backend):
     """Cars racing over terrain — continuous contact (Table 3)."""
-    world = World()
+    world = World(backend=backend)
     terrain = scenes.make_terrain(world, extent=60.0, resolution=16,
                                   amplitude=0.4, seed=seed)
     scenes.scatter_obstacles(world, _count(16, scale), area=30.0,
@@ -111,9 +112,9 @@ def _build_continuous(scale, seed):
     return world, None
 
 
-def _build_breakable(scale, seed):
+def _build_breakable(scale, seed, backend):
     """Bonded walls shelled by heavy projectiles (Table 3: Breakable)."""
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     bricks = _count(6, scale, minimum=3)
     walls = _count(3, scale)
@@ -138,9 +139,9 @@ def _build_breakable(scale, seed):
     return world, driver
 
 
-def _build_deformable(scale, seed):
+def _build_deformable(scale, seed, backend):
     """Cloth-heavy scene (Table 3: Deformable)."""
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     # The paper's 625-vertex drape, kept at full size at every scale:
     # its cost dominates the Cloth phase and (because it is a single CG
@@ -168,12 +169,12 @@ def _build_deformable(scale, seed):
     return world, None
 
 
-def _build_explosions(scale, seed):
+def _build_explosions(scale, seed, backend):
     """Prefractured structures + explosive shells (Table 3: Explosions).
 
     Full scale targets the paper's 3,459-object count through debris
     multiplication (each brick authors 8 pieces)."""
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     bricks = _count(6, scale, minimum=3)
     walls = _count(4, scale)
@@ -195,10 +196,10 @@ def _build_explosions(scale, seed):
     return world, driver
 
 
-def _build_highspeed(scale, seed):
+def _build_highspeed(scale, seed, backend):
     """Very fast movers vs thin structures (Table 3: Highspeed)."""
     rng = random.Random(seed)
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     bricks = _count(8, scale, minimum=4)
     scenes.make_wall(world, Vec3(0, 0, 0), bricks_x=bricks,
@@ -216,9 +217,9 @@ def _build_highspeed(scale, seed):
     return world, None
 
 
-def _build_mix(scale, seed):
+def _build_mix(scale, seed, backend):
     """All phenomena combined (Table 3: Mix) at fractional sub-scales."""
-    world = World()
+    world = World(backend=backend)
     scenes.make_ground(world)
     sub = 0.4 * scale
     for k in range(_count(8, sub)):

@@ -85,9 +85,12 @@ def validate_world(world, bounds: float = None,
             report.notes.append(
                 f"body #{body.uid} escaped bounds at {p!r}")
 
-    # Penetration audit over current broadphase pairs.
+    # Penetration audit over current broadphase pairs, found by a fresh
+    # broadphase: the world's own keeps its sweep order across frames,
+    # so querying it here would change the next frame's swap count.
     live = [g for g in world.geoms if g.enabled]
-    for ga, gb in world.broadphase.pairs(live):
+    audit = world.kernels.make_broadphase(world.config.broadphase)
+    for ga, gb in audit.pairs(live):
         if world._pair_filtered(ga, gb):
             continue
         for contact in collide(ga, gb):

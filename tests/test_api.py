@@ -189,7 +189,6 @@ def test_guarded_recorder_and_session_share_the_frame_loop():
     same frames (uids aside: the session draws its own), same
     rollbacks, same frame count."""
     from repro.engine.recorder import TrajectoryRecorder
-    from repro.fastpath import default_backend
     from repro.resilience import (Fault, FaultInjector, FaultSchedule,
                                   StepWatchdog)
     from repro.workloads.benchmarks import get_benchmark
@@ -202,9 +201,8 @@ def test_guarded_recorder_and_session_share_the_frame_loop():
         session.step(1)
         served.snapshot()
 
-    with default_backend("numpy"):
-        world, scene_driver = get_benchmark("periodic").build(scale=0.05,
-                                                              seed=2)
+    world, scene_driver = get_benchmark("periodic").build(
+        scale=0.05, seed=2, backend="numpy")
     injector = FaultInjector(
         world, FaultSchedule([Fault(3, "huge_impulse", False)]), seed=2)
 

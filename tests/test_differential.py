@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
-from repro.fastpath import BatchWorld, default_backend
+from repro.fastpath import BatchWorld
 from repro.workloads.benchmarks import BENCHMARKS
 
 # Small scale keeps the eight double runs affordable; 60 frames is long
@@ -25,8 +25,8 @@ FRAMES = int(os.environ.get("REPRO_DIFF_FRAMES", "60"))
 
 
 def _run(name, backend, frames=FRAMES, scale=SCALE, seed=0):
-    with default_backend(backend):
-        world, driver = BENCHMARKS[name].build(scale=scale, seed=seed)
+    world, driver = BENCHMARKS[name].build(scale=scale, seed=seed,
+                                           backend=backend)
     assert world.backend == backend
     rec = TrajectoryRecorder(world).record(frames, driver)
     return rec, world
@@ -60,9 +60,8 @@ def test_backend_trajectories_bit_identical(name):
 def _build_fleet(n, backend="numpy", scale=0.03):
     worlds, drivers = [], []
     for seed in range(n):
-        with default_backend(backend):
-            world, driver = BENCHMARKS["ragdoll"].build(scale=scale,
-                                                        seed=seed)
+        world, driver = BENCHMARKS["ragdoll"].build(scale=scale, seed=seed,
+                                                    backend=backend)
         worlds.append(world)
         drivers.append(driver)
     return worlds, drivers
@@ -84,9 +83,8 @@ def test_batch_world_matches_solo_stepping():
     frames = 12
     solo = []
     for seed in range(4):
-        with default_backend("numpy"):
-            world, driver = BENCHMARKS["ragdoll"].build(scale=0.03,
-                                                        seed=seed)
+        world, driver = BENCHMARKS["ragdoll"].build(scale=0.03, seed=seed,
+                                                    backend="numpy")
         solo.append(TrajectoryRecorder(world).record(frames, driver))
 
     worlds, drivers = _build_fleet(4)
@@ -103,9 +101,8 @@ def test_batch_world_rejects_mixed_fleet():
     ``tests/test_api.py`` holds the every-world-matches-solo half)."""
     worlds = []
     for backend in ("scalar", "numpy"):
-        with default_backend(backend):
-            world, _driver = BENCHMARKS["ragdoll"].build(scale=0.03,
-                                                         seed=0)
+        world, _driver = BENCHMARKS["ragdoll"].build(scale=0.03, seed=0,
+                                                     backend=backend)
         worlds.append(world)
     with pytest.raises(ValueError):
         BatchWorld(worlds)

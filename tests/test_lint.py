@@ -7,15 +7,14 @@ tree because the determinism rules are scoped to the simulation
 packages by module path.
 """
 
-import json
 import os
 import shutil
 import textwrap
 
 import pytest
 
-from repro.lint import all_rules, lint_paths
-from repro.lint.cli import main as lint_main
+from repro.lint import RULES, lint_paths
+from repro.lint.__main__ import main as lint_main
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -40,13 +39,13 @@ def write_module(root, relpath, code):
     return path
 
 
-def lint_snippet(tmp_path, code, select,
+def lint_snippet(tmp_path, code, rule,
                  relpath="repro/engine/mod.py"):
     root = str(tmp_path)
     write_module(root, "repro/__init__.py", "")
     write_module(root, relpath, code)
-    result = lint_paths([os.path.join(root, "repro")], select=[select])
-    return [f for f in result.findings if f.rule == select]
+    result = lint_paths([os.path.join(root, "repro")])
+    return [f for f in result.findings if f.rule == rule]
 
 
 def active(findings):
@@ -309,9 +308,9 @@ def test_pax201_demo_deleting_snapshot_field_fails_lint(tmp_path):
     assert '"sleep_timer": self.sleep_timer,' in text
     with open(body_py, "w") as fh:
         fh.write(text.replace('"sleep_timer": self.sleep_timer,', ""))
-    result = lint_paths([os.path.join(root, "repro")],
-                        select=["PAX201"])
-    msgs = [f.message for f in active(result.findings)]
+    result = lint_paths([os.path.join(root, "repro")])
+    msgs = [f.message for f in active(result.findings)
+            if f.rule == "PAX201"]
     assert any("sleep_timer" in m for m in msgs)
 
 
@@ -325,9 +324,9 @@ def test_pax201_demo_deleting_world_capture_field_fails_lint(tmp_path):
     assert '"culled": world.culled,' in text
     with open(snap_py, "w") as fh:
         fh.write(text.replace('"culled": world.culled,', ""))
-    result = lint_paths([os.path.join(root, "repro")],
-                        select=["PAX201"])
-    msgs = [f.message for f in active(result.findings)]
+    result = lint_paths([os.path.join(root, "repro")])
+    msgs = [f.message for f in active(result.findings)
+            if f.rule == "PAX201"]
     assert any("culled" in m for m in msgs)
 
 
@@ -372,34 +371,32 @@ def test_reasonless_suppression_does_not_silence(tmp_path):
 # -- CLI ----------------------------------------------------------------
 
 def test_cli_explain_covers_every_rule(capsys):
-    for rule in all_rules():
+    for rule in RULES:
         assert lint_main(["--explain", rule.code]) == 0
         out = capsys.readouterr().out
         assert rule.code in out
         assert len(out.strip().splitlines()) >= 3  # has a rationale
 
 
-def test_cli_json_format_and_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys):
+    """1 on a finding, 0 when clean, 2 on a non-.py path and on an
+    unknown --explain code."""
     root = str(tmp_path)
     write_module(root, "repro/__init__.py", "")
-    write_module(root, "repro/engine/mod.py",
-                 "bad = id(object())\n")
+    mod = write_module(root, "repro/engine/mod.py",
+                       "bad = id(object())\n")
     pkg = os.path.join(root, "repro")
-    code = lint_main([pkg, "--format", "json", "--select", "PAX102"])
-    data = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert data["counts"]["new"] == 1
-    assert data["findings"][0]["rule"] == "PAX102"
-
-
-def test_cli_select_unknown_rule_is_usage_error(tmp_path, capsys):
-    root = str(tmp_path)
-    write_module(root, "repro/__init__.py", "")
-    write_module(root, "repro/engine/mod.py", "x = 1\n")
-    code = lint_main([os.path.join(root, "repro"),
-                      "--select", "PAX9"])
-    assert code == 2
-    assert "matches no rule" in capsys.readouterr().err
+    assert lint_main([pkg]) == 1
+    out = capsys.readouterr().out
+    assert "PAX102" in out and "1 new finding(s)" in out
+    with open(mod, "w") as fh:
+        fh.write("good = 1\n")
+    assert lint_main([pkg]) == 0
+    assert "0 new finding(s)" in capsys.readouterr().out
+    assert lint_main([os.path.join(root, "notes.txt")]) == 2
+    assert "not a Python file" in capsys.readouterr().err
+    assert lint_main(["--explain", "PAX9"]) == 2
+    assert "unknown rule" in capsys.readouterr().err
 
 
 # -- the repo itself ----------------------------------------------------
@@ -422,13 +419,12 @@ def test_every_rule_has_fixture_coverage():
     triggering test above (grep this file)."""
     with open(__file__) as fh:
         text = fh.read()
-    for rule in all_rules():
+    for rule in RULES:
         assert text.count(rule.code) >= 2, rule.code
 
 
-@pytest.mark.parametrize("code", [r.code for r in all_rules()])
+@pytest.mark.parametrize("code", [r.code for r in RULES])
 def test_rationales_are_substantial(code):
-    from repro.lint import get_rule
-    rule = get_rule(code)
+    rule = next(r for r in RULES if r.code == code)
     assert len(rule.rationale) > 120
     assert rule.name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import SessionSpec, run_scenario
+from repro.api import Session, SessionSpec, run_scenario
 from repro.profiling import PARALLEL_PHASES, mean_report
 from repro.profiling.tasks import cg_speedup
 from repro.workloads import (
@@ -65,6 +65,21 @@ class TestBenchmarkRuns:
         manual = mean_report(run.reports[1:])
         assert (run.measured.total_instructions()
                 == manual.total_instructions())
+
+
+@pytest.mark.parametrize("backend", ["scalar", "numpy"])
+def test_validate_world_does_not_change_the_next_frame(backend):
+    """Validation is an audit: the frame after it matches a twin that
+    was never validated, digest and every phase counter (the SAP swap
+    count included)."""
+    spec = SessionSpec("mix", scale=0.1, seed=0, backend=backend)
+    audited, twin = Session.create(spec), Session.create(spec)
+    audited.step(5)
+    twin.step(5)
+    assert validate_world(audited.world).ok
+    (after,), (plain,) = audited.step(1), twin.step(1)
+    assert audited.state_digest() == twin.state_digest()
+    assert after.summary() == plain.summary()
 
 
 class TestCostModel:
