@@ -5,8 +5,9 @@ Builds N independent copies of the ragdoll workload and steps them
 three ways — scalar one-by-one, backend="numpy" one-by-one, and as a
 single :class:`repro.fastpath.BatchWorld` — then prints per-world frame
 times.  The batch path packs every world's constraint islands into one
-vectorized solve, which is where the wide-SIMD regime the paper
-targets finally has enough rows per dependency level to pay off.
+solve call per sub-step, the way a ``repro.serve`` shard steps a
+cohort; the packed rows go through the same sequential recurrence as
+one world's, so packing buys lockstep stepping, not cheaper rows.
 
 Run from the repo root::
 

@@ -21,8 +21,8 @@ from ..workloads import run_all
 from . import calibrate, extensions, tables
 from . import experiments as exp
 
-# name -> callable(runs) returning text or (data, text); None-arg
-# drivers are wrapped so everything takes the runs dict.
+# name -> callable(runs) returning (data, text); None-arg drivers are
+# wrapped so everything takes the runs dict.
 EXPERIMENTS = {
     "table3": tables.table3,
     "table4": tables.table4,
@@ -75,15 +75,12 @@ def regenerate(names=None, scale: float = SCALE, frames: int = FRAMES,
 
     Returns ``(runs, tables)``: the :func:`~repro.workloads.run_all`
     dict and ``{name: (data, text)}`` with ``data`` the figure's numbers
-    (``None`` for the text-only Table 3/4) and ``text`` the rendered
-    table.  A pure function of its arguments.
+    and ``text`` the rendered table.  A pure function of its arguments.
     """
     runs = run_all(scale=scale, frames=frames, seed=seed)
     tables = {}
     for name in (EXPERIMENTS if names is None else names):
-        result = EXPERIMENTS[name](runs)
-        tables[name] = (result if isinstance(result, tuple)
-                        else (None, result))
+        tables[name] = EXPERIMENTS[name](runs)
     return runs, tables
 
 

@@ -83,19 +83,22 @@ def _ordered(runs):
     ]
 
 
-def table3(runs) -> str:
-    """Instructions per frame vs the paper's Table 3."""
+def table3(runs):
+    """Instructions per frame vs the paper's Table 3.
+
+    Returns ``(data, text)``: ``data`` maps each benchmark to its
+    modeled instructions per frame.
+    """
+    data = {name: run.total_instructions() for name, run in runs.items()}
     rows = []
-    items = sorted(
-        runs.items(), key=lambda kv: kv[1].total_instructions())
-    for name, run in items:
+    for name, inst in sorted(data.items(), key=lambda kv: kv[1]):
         rows.append([
             name,
-            f"{run.total_instructions() / 1e6:.1f}",
+            f"{inst / 1e6:.1f}",
             PAPER_TABLE3_MINST.get(name, 0),
-            f"{run.scale:g}",
+            f"{runs[name].scale:g}",
         ])
-    return format_table(
+    return data, format_table(
         ["benchmark", "measured Minst/frame", "paper Minst/frame",
          "scale"],
         rows,
@@ -103,11 +106,16 @@ def table3(runs) -> str:
     )
 
 
-def table4(runs) -> str:
-    """Scene statistics vs the paper's Table 4."""
+def table4(runs):
+    """Scene statistics vs the paper's Table 4.
+
+    Returns ``(data, text)``: ``data`` maps each benchmark to its
+    ``table4_row()``.
+    """
+    data = {}
     rows = []
     for run in _ordered(runs):
-        stats = run.table4_row()
+        stats = data[run.name] = run.table4_row()
         paper = PAPER_TABLE4.get(run.name, {})
         rows.append([
             run.name,
@@ -120,7 +128,7 @@ def table4(runs) -> str:
             stats["cloth_vertices"],
             paper.get("cloth_vertices", 0),
         ])
-    return format_table(
+    return data, format_table(
         ["benchmark", "pairs", "paper", "islands", "paper",
          "dyn objs", "paper", "cloth verts", "paper"],
         rows,

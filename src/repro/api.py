@@ -236,12 +236,12 @@ class Session:
         """
         from .resilience import WorldSnapshot
         spec = SessionSpec.from_dict(payload["spec"])
+        snapshot = WorldSnapshot.from_dict(payload["snapshot"])
         base = payload["uid_base"]
         scope = UidScope(base[0], base[1])
         session = cls._build(spec, scope)
         with session._scope.installed():
-            WorldSnapshot.from_dict(payload["snapshot"]) \
-                .restore(session.world)
+            snapshot.restore(session.world)
         return session
 
     @classmethod

@@ -1,9 +1,12 @@
 """Struct-of-arrays fast path for the engine hot loops.
 
-``repro.fastpath`` vectorizes the four profiled hot loops — the SAP
-interval sweep, the sphere/box narrowphase pair tests, PGS row
-iteration, and Jakobsen cloth relaxation — behind the existing APIs.
-A world binds one kernel set at construction::
+``repro.fastpath`` restates the profiled hot loops behind the existing
+APIs.  The SAP interval sweep, the sphere/box narrowphase pair tests
+and Jakobsen cloth relaxation are vectorized; PGS row iteration and the
+per-body force/integrate loops are unboxed sequential recurrences over
+plain floats, because their dependency chains leave too few
+independent lanes for array dispatch to pay.  A world binds one kernel
+set at construction::
 
     World(backend="numpy")     # repro.fastpath.kernels (SoA)
     World(backend="scalar")    # repro.engine.scalar, the oracle (default)
@@ -37,7 +40,7 @@ def resolve_backend(backend=None) -> str:
     return backend
 
 
-from .solver import solve_island_soa, solve_islands  # noqa: E402
+from .solver import solve_islands  # noqa: E402
 from .batch import BatchWorld, cohort_key  # noqa: E402
 
 __all__ = [
@@ -45,6 +48,5 @@ __all__ = [
     "BatchWorld",
     "cohort_key",
     "resolve_backend",
-    "solve_island_soa",
     "solve_islands",
 ]

@@ -4,7 +4,7 @@ These restate ``World._apply_forces`` and ``World._integrate`` with the
 same arithmetic in the same order, but without allocating ``Vec3`` /
 ``Mat3`` / ``Quaternion`` intermediates — each body's state is unpacked
 to plain floats once, advanced, and written back.  Like the solver's
-``flat`` strategy, this is the narrow-width arm of the fast path: the
+row recurrence, this is the unboxed arm of the fast path: the
 per-entity state (13 floats) is too small for NumPy dispatch to pay off
 at per-world populations, while the attribute/method overhead it
 removes is most of the phase cost.

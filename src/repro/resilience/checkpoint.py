@@ -44,6 +44,15 @@ class SnapshotMismatchError(RuntimeError):
 
 class WorldSnapshot:
     VERSION = 2
+    #: The top-level payload keys :meth:`capture` writes;
+    #: :meth:`from_dict` accepts exactly these.
+    KEYS = frozenset((
+        "version", "frame_index", "step_index", "time", "culled",
+        "body_next_uid", "geom_next_uid", "n_geoms", "n_joints",
+        "bodies", "geoms", "joints", "no_collide_pairs", "impulse_cache",
+        "contacted_bodies", "cloths", "explosions", "prefractured",
+        "actors",
+    ))
 
     def __init__(self, data: dict):
         self.data = data
@@ -197,10 +206,19 @@ class WorldSnapshot:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorldSnapshot":
+        """Check a payload's shape before any world sees it: ``restore``
+        rewinds bodies and uid counters before it reads the later keys,
+        so a payload missing one would leave a live world half
+        rewound."""
         version = data.get("version")
         if version != cls.VERSION:
             raise SnapshotMismatchError(
                 f"snapshot version {version!r} != {cls.VERSION}")
+        missing = sorted(cls.KEYS - data.keys())
+        unknown = sorted(data.keys() - cls.KEYS)
+        if missing or unknown:
+            raise SnapshotMismatchError(
+                f"snapshot keys: missing {missing}, unknown {unknown}")
         return cls(data)
 
     def to_json(self) -> str:

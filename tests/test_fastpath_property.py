@@ -23,7 +23,7 @@ from repro.dynamics import Body
 from repro.dynamics.solver import Row, solve_island
 from repro.fastpath import cloth as fp_cloth
 from repro.fastpath.broadphase import VectorSweepAndPrune
-from repro.fastpath.solver import solve_island_soa
+from repro.fastpath.solver import solve_islands
 from repro.geometry import Sphere
 from repro.math3d import Vec3
 
@@ -128,33 +128,40 @@ def _build_island(seed, n_bodies, n_rows):
 @RELAXED
 @given(seed=st.integers(0, 2**31 - 1), n_bodies=st.integers(2, 10),
        n_rows=st.integers(0, 30), iterations=st.integers(1, 12),
-       strategy=st.sampled_from(["flat", "levels"]))
+       n_islands=st.integers(1, 6))
 def test_pgs_soa_matches_scalar(seed, n_bodies, n_rows, iterations,
-                                strategy):
-    """Both SoA strategies reproduce the scalar PGS sweep exactly:
-    same impulses, same body velocities, same SolveStats."""
-    bodies_s, rows_s = _build_island(seed, n_bodies, n_rows)
-    bodies_f, rows_f = _build_island(seed, n_bodies, n_rows)
+                                n_islands):
+    """One packed solve over ``n_islands`` body-disjoint islands
+    reproduces the scalar PGS sweep of each island on its own exactly:
+    same impulses, same body velocities, same SolveStats — including
+    islands that settle and retire while the rest of the pack sweeps."""
+    # Island i has n_rows // (i + 1) rows, so a pack mixes large and
+    # small (early-settling) islands.
+    sizes = [(seed + i, n_bodies, n_rows // (i + 1))
+             for i in range(n_islands)]
+    scalar = [_build_island(*size) for size in sizes]
+    packed = [_build_island(*size) for size in sizes]
 
-    stats_s = solve_island(rows_s, iterations)
-    stats_f = solve_island_soa(rows_f, iterations, strategy=strategy)
+    stats_s = [solve_island(rows, iterations) for _, rows in scalar]
+    stats_f = solve_islands([rows for _, rows in packed], iterations)
 
-    assert stats_s.rows == stats_f.rows
-    assert stats_s.iterations == stats_f.iterations
-    assert stats_s.row_updates == stats_f.row_updates
-    assert stats_s.max_delta == stats_f.max_delta
-    assert stats_s.residual == stats_f.residual
-    for rs, rf in zip(rows_s, rows_f):
-        assert rs.impulse == rf.impulse
-    for bs, bf in zip(bodies_s, bodies_f):
-        assert (bs.linear_velocity.x, bs.linear_velocity.y,
-                bs.linear_velocity.z) == (bf.linear_velocity.x,
-                                          bf.linear_velocity.y,
-                                          bf.linear_velocity.z)
-        assert (bs.angular_velocity.x, bs.angular_velocity.y,
-                bs.angular_velocity.z) == (bf.angular_velocity.x,
-                                           bf.angular_velocity.y,
-                                           bf.angular_velocity.z)
+    def fields(stats):
+        return [(s.rows, s.iterations, s.row_updates, s.max_delta,
+                 s.residual) for s in stats]
+
+    assert fields(stats_f) == fields(stats_s)
+    for (bodies_s, rows_s), (bodies_f, rows_f) in zip(scalar, packed):
+        for rs, rf in zip(rows_s, rows_f):
+            assert rs.impulse == rf.impulse
+        for bs, bf in zip(bodies_s, bodies_f):
+            assert (bs.linear_velocity.x, bs.linear_velocity.y,
+                    bs.linear_velocity.z) == (bf.linear_velocity.x,
+                                              bf.linear_velocity.y,
+                                              bf.linear_velocity.z)
+            assert (bs.angular_velocity.x, bs.angular_velocity.y,
+                    bs.angular_velocity.z) == (bf.angular_velocity.x,
+                                               bf.angular_velocity.y,
+                                               bf.angular_velocity.z)
 
 
 @RELAXED
@@ -165,7 +172,7 @@ def test_pgs_impulses_respect_bounds(seed, n_bodies, n_rows,
     """Projected impulses stay inside [lo, hi]; friction magnitudes
     stay inside the cone set by their normal row's final impulse."""
     _, rows = _build_island(seed, n_bodies, n_rows)
-    solve_island_soa(rows, iterations)
+    solve_islands([rows], iterations)
     for row in rows:
         if row.inv_k == 0.0:
             # Degenerate row (e.g. static-static pair): solve_once

@@ -59,11 +59,11 @@ def test_table_matches_committed(regen, name):
 # Tables 3 and 4
 
 
-def test_table3_instructions_per_frame(runs):
+def test_table3_instructions_per_frame(data):
     # The heavy benchmarks must dominate the light ones, as in the
     # paper's ordering (mix is the heaviest; periodic/ragdoll/
     # continuous are the light third).
-    inst = {name: run.total_instructions() for name, run in runs.items()}
+    inst = data["table3"]
     light = max(inst["periodic"], inst["ragdoll"], inst["continuous"])
     assert inst["mix"] == max(inst.values())
     assert inst["mix"] > 2.5 * light
@@ -71,8 +71,8 @@ def test_table3_instructions_per_frame(runs):
         assert inst[heavy] > light * 0.9
 
 
-def test_table4_scene_statistics(runs):
-    stats = {name: run.table4_row() for name, run in runs.items()}
+def test_table4_scene_statistics(data):
+    stats = data["table4"]
     # Paper-shape checks that survive scaling:
     # the high-object benchmarks have the most pairs ...
     assert stats["mix"]["object_pairs"] > stats["ragdoll"]["object_pairs"]

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.api import Session, SessionSpec
 from repro.dynamics import Body
 from repro.engine import World, WorldConfig
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
@@ -136,6 +137,51 @@ class TestSnapshotSerialization:
         import json
         _, _, snapshot = self._snapshot()
         json.dumps(snapshot.to_dict())  # must not need a custom encoder
+
+
+# Every top-level key WorldSnapshot.capture writes.
+SNAPSHOT_KEYS = (
+    "version", "frame_index", "step_index", "time", "culled",
+    "body_next_uid", "geom_next_uid", "n_geoms", "n_joints", "bodies",
+    "geoms", "joints", "no_collide_pairs", "impulse_cache",
+    "contacted_bodies", "cloths", "explosions", "prefractured", "actors",
+)
+
+
+@pytest.fixture(scope="module")
+def checkpointed():
+    """A ragdoll session stepped 2 frames past its checkpoint."""
+    session = Session.create(SessionSpec("ragdoll", scale=0.05))
+    session.step(3)
+    payload = session.checkpoint()
+    session.step(2)
+    return session, payload
+
+
+class TestSnapshotPayloadCheck:
+    """A malformed payload is refused before any world is touched; a
+    restore that failed halfway would leave a live world with rewound
+    bodies and uid counters but a stale ``frame_index``."""
+
+    @pytest.mark.parametrize("key", SNAPSHOT_KEYS)
+    def test_dropped_key_leaves_the_world_untouched(self, checkpointed,
+                                                    key):
+        session, payload = checkpointed
+        digest = session.state_digest()
+        snap = {k: v for k, v in payload["snapshot"].items() if k != key}
+        with pytest.raises(SnapshotMismatchError, match=key):
+            WorldSnapshot.from_dict(snap).restore(session.world)
+        assert session.state_digest() == digest
+        assert session.frame_index == 5
+        with pytest.raises(SnapshotMismatchError, match=key):
+            Session.restore({**payload, "snapshot": snap})
+
+    def test_unknown_key_is_refused(self, checkpointed):
+        _, payload = checkpointed
+        assert sorted(payload["snapshot"]) == sorted(SNAPSHOT_KEYS)
+        snap = {**payload["snapshot"], "gravity": [0.0, -9.81, 0.0]}
+        with pytest.raises(SnapshotMismatchError, match="gravity"):
+            WorldSnapshot.from_dict(snap)
 
 
 class TestWatchdogHealthyRun:

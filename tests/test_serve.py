@@ -305,6 +305,22 @@ class TestCluster:
         twin.step(8)
         assert served == twin.state_digest()
 
+    def test_restore_of_a_malformed_snapshot_is_refused(self):
+        async def scenario(service):
+            await service.create_session("a", spec(seed=0))
+            await service.create_session("b", spec(seed=1))
+            await service.step("a", frames=2)
+            payload = await service.checkpoint("a")
+            del payload["snapshot"]["impulse_cache"]
+            with pytest.raises(WorkerError,
+                               match="SnapshotMismatchError.*impulse_cache"):
+                await service.restore_session("c", payload)
+            assert (await service.query("b"))["frame_index"] == 0
+            with pytest.raises(UnknownSessionError):
+                await service.query("c")
+
+        serve(scenario, n_shards=1)
+
     def test_full_inbox_raises_backpressure(self):
         async def scenario(service):
             cluster = service.cluster
