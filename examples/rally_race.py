@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Rally race: the Continuous-Contact benchmark feature set.
 
-Cars with slider-joint suspensions drive over rolling heightfield terrain
+Cars on motorised hinge axles drive over rolling heightfield terrain
 between static obstacles — continuous contact, the racing-genre scenario
 of the paper's Table 3 — while the workload report shows the steady
 contact stream it generates.

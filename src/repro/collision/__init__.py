@@ -8,12 +8,9 @@ from .broadphase import (
 )
 from .geom import Geom
 from .narrowphase import CONTACT_MARGIN, Contact, collide
-from .raycast import RayHit, raycast_world
 
 __all__ = [
     "Geom",
-    "RayHit",
-    "raycast_world",
     "Contact",
     "collide",
     "CONTACT_MARGIN",

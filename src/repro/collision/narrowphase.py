@@ -236,90 +236,6 @@ def _box_box(ga, gb):
 
 
 # ---------------------------------------------------------------------------
-# capsule vs * (treated as a swept sphere sampled along the segment)
-
-
-def _capsule_sample_points(geom):
-    a, b = geom.shape.endpoints(geom.transform)
-    mid = (a + b) * 0.5
-    return [(0, a), (1, mid), (2, b)]
-
-
-class _SphereProxy:
-    """Stand-in geom so capsule tests reuse the sphere routines."""
-
-    def __init__(self, source, center: Vec3, radius: float):
-        from ..geometry import Sphere
-        from ..math3d import Transform
-        self.shape = Sphere(radius)
-        self.body = source.body
-        self.static_transform = Transform(center)
-        self.friction = source.friction
-        self.restitution = source.restitution
-        self.index = source.index
-        self.transform = Transform(center)
-
-
-def _capsule_vs(other_fn, feature_stride=3):
-    def run(ga, gb):
-        contacts = []
-        r = ga.shape.radius
-        for k, center in _capsule_sample_points(ga):
-            proxy = _SphereProxy(ga, center, r)
-            for c in other_fn(proxy, gb):
-                contacts.append(Contact(ga, gb, c.position, c.normal,
-                                        c.depth, feature=k))
-        return contacts
-    return run
-
-
-def _capsule_capsule(ga, gb):
-    pa0, pa1 = ga.shape.endpoints(ga.transform)
-    pb0, pb1 = gb.shape.endpoints(gb.transform)
-    pa, pb = _closest_segment_points(pa0, pa1, pb0, pb1)
-    delta = pa - pb
-    dist = delta.length()
-    depth = ga.shape.radius + gb.shape.radius - dist
-    if depth < -CONTACT_MARGIN:
-        return []
-    n = delta / dist if dist > 1e-9 else Vec3(0, 1, 0)
-    pos = pb + n * gb.shape.radius
-    return [Contact(ga, gb, pos, n, max(0.0, depth))]
-
-
-def _closest_segment_points(p1, q1, p2, q2):
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = d1.length_squared()
-    e = d2.length_squared()
-    f = d2.dot(r)
-    if a < 1e-12 and e < 1e-12:
-        return p1, p2
-    if a < 1e-12:
-        s = 0.0
-        t = min(max(f / e, 0.0), 1.0)
-    else:
-        c = d1.dot(r)
-        if e < 1e-12:
-            t = 0.0
-            s = min(max(-c / a, 0.0), 1.0)
-        else:
-            b = d1.dot(d2)
-            denom = a * e - b * b
-            s = (min(max((b * f - c * e) / denom, 0.0), 1.0)
-                 if denom > 1e-12 else 0.0)
-            t = (b * s + f) / e
-            if t < 0.0:
-                t = 0.0
-                s = min(max(-c / a, 0.0), 1.0)
-            elif t > 1.0:
-                t = 1.0
-                s = min(max((b - c) / a, 0.0), 1.0)
-    return p1 + d1 * s, p2 + d2 * t
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 _DISPATCH = {
@@ -330,11 +246,6 @@ _DISPATCH = {
     ("box", "plane"): _box_plane,
     ("box", "box"): _box_box,
     ("box", "heightfield"): _box_heightfield,
-    ("capsule", "plane"): _capsule_vs(_sphere_plane),
-    ("capsule", "box"): _capsule_vs(_sphere_box),
-    ("capsule", "sphere"): _capsule_vs(_sphere_sphere),
-    ("capsule", "heightfield"): _capsule_vs(_sphere_heightfield),
-    ("capsule", "capsule"): _capsule_capsule,
 }
 
 

@@ -1,46 +1,16 @@
-"""Ray queries against world geometry.
+"""Ray tests the CCD sweeps clamp with.
 
-Used by the CCD sweep (fast movers cast along their motion) and scene
-tooling. Rays are parameterized as ``origin + t * direction`` with ``t``
-in world units when ``direction`` is normalized (``raycast_world``
-normalizes for you).
+``collision.ccd.sweep_clamp`` and its batched twin in ``fastpath.ccd``
+cast a fast mover's motion against planes, heightfields and inflated
+AABBs. Rays are parameterized as ``origin + t * direction`` with ``t``
+in world units when ``direction`` is normalized.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..math3d import Vec3
-
 _EPS = 1e-9
-
-
-class RayHit:
-    __slots__ = ("geom", "t", "point", "normal")
-
-    def __init__(self, geom, t, point, normal):
-        self.geom = geom
-        self.t = t
-        self.point = point
-        self.normal = normal
-
-    def __repr__(self):
-        return f"RayHit({self.geom!r}, t={self.t:.4f})"
-
-
-def ray_sphere(origin, direction, center, radius):
-    """Smallest t >= 0 where the ray enters the sphere, or None."""
-    oc = origin - center
-    b = oc.dot(direction)
-    c = oc.dot(oc) - radius * radius
-    disc = b * b - c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    t = -b - root
-    if t < 0.0:
-        t = -b + root  # origin inside the sphere
-    return t if t >= 0.0 else None
 
 
 def ray_aabb(origin, direction, lo, hi):
@@ -65,14 +35,6 @@ def ray_aabb(origin, direction, lo, hi):
         if tmin > tmax:
             return None
     return tmin
-
-
-def ray_box(origin, direction, box, transform):
-    """Ray vs oriented box: transform the ray into box space."""
-    local_o = transform.apply_inverse(origin)
-    local_d = transform.orientation.rotate_inverse(direction)
-    h = box.half_extents
-    return ray_aabb(local_o, local_d, Vec3(-h.x, -h.y, -h.z), h)
 
 
 def ray_plane(origin, direction, plane):
@@ -112,69 +74,3 @@ def ray_heightfield(origin, direction, field, transform,
             return hi
         prev = t
     return None
-
-
-def raycast_geom(geom, origin, direction, max_t=float("inf")):
-    """t of the first intersection with one geom, or None."""
-    shape = geom.shape
-    kind = shape.kind
-    tr = geom.transform
-    if kind == "sphere":
-        t = ray_sphere(origin, direction, tr.position, shape.radius)
-    elif kind == "box":
-        t = ray_box(origin, direction, shape, tr)
-    elif kind == "plane":
-        t = ray_plane(origin, direction, shape)
-    elif kind == "capsule":
-        a, b = shape.endpoints(tr)
-        t = None
-        for center in (a, b, (a + b) * 0.5):
-            tc = ray_sphere(origin, direction, center, shape.radius)
-            if tc is not None and (t is None or tc < t):
-                t = tc
-    elif kind == "heightfield":
-        t = ray_heightfield(origin, direction, shape, tr, max_t)
-    else:
-        t = None
-    if t is None or t > max_t:
-        return None
-    return t
-
-
-def raycast_world(world, origin: Vec3, direction: Vec3,
-                  max_dist: float = float("inf"),
-                  exclude_body=None) -> RayHit:
-    """First hit of a ray against every enabled geom, or None."""
-    d = direction.normalized()
-    best_t, best_geom = None, None
-    for geom in world.geoms:
-        if not geom.enabled:
-            continue
-        if exclude_body is not None and geom.body is exclude_body:
-            continue
-        limit = best_t if best_t is not None else max_dist
-        t = raycast_geom(geom, origin, d, limit)
-        if t is not None and (best_t is None or t < best_t):
-            best_t, best_geom = t, geom
-    if best_geom is None:
-        return None
-    point = origin + d * best_t
-    normal = _surface_normal(best_geom, point, d)
-    return RayHit(best_geom, best_t, point, normal)
-
-
-def _surface_normal(geom, point, direction):
-    kind = geom.shape.kind
-    if kind == "sphere":
-        n = point - geom.transform.position
-        length = n.length()
-        return n / length if length > _EPS else Vec3(0, 1, 0)
-    if kind == "plane":
-        return geom.shape.normal
-    if kind == "heightfield":
-        tr = geom.transform
-        return geom.shape.normal_at(point.x - tr.position.x,
-                                    point.z - tr.position.z)
-    # Boxes/capsules: the entry face normal opposes the ray closely
-    # enough for CCD's purposes.
-    return direction * -1.0

@@ -8,7 +8,6 @@ from .joints import (
     FixedJoint,
     HingeJoint,
     Joint,
-    SliderJoint,
 )
 from .solver import Row, SolveStats, solve_island
 
@@ -22,7 +21,6 @@ __all__ = [
     "BallJoint",
     "HingeJoint",
     "FixedJoint",
-    "SliderJoint",
     "Island",
     "UnionFind",
     "build_islands",

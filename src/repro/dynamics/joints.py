@@ -184,9 +184,6 @@ class BallJoint(Joint):
         self.anchor_local_b = body_b.orientation.rotate_inverse(
             anchor_world - body_b.position)
 
-    def anchor_world(self) -> Vec3:
-        return self.body_a.transform.apply(self.anchor_local_a)
-
     def anchor_error(self) -> float:
         wa = self.body_a.transform.apply(self.anchor_local_a)
         wb = self.body_b.transform.apply(self.anchor_local_b)
@@ -199,7 +196,8 @@ class BallJoint(Joint):
 
 
 class HingeJoint(Joint):
-    """Ball joint + axis alignment, with optional motor and stops."""
+    """Ball joint + axis alignment, with an optional motor (the cars'
+    driven axles)."""
 
     def __init__(self, body_a, body_b, anchor_world: Vec3,
                  axis_world: Vec3):
@@ -211,14 +209,8 @@ class HingeJoint(Joint):
             anchor_world - body_b.position)
         self.axis_local_a = body_a.orientation.rotate_inverse(axis_world)
         self.axis_local_b = body_b.orientation.rotate_inverse(axis_world)
-        # Reference perpendicular (for measuring the hinge angle).
-        ref = axis_world.any_orthonormal()
-        self.ref_local_a = body_a.orientation.rotate_inverse(ref)
-        self.ref_local_b = body_b.orientation.rotate_inverse(ref)
         self.motor_velocity = None
         self.motor_max_force = 0.0
-        self.limit_lo = None
-        self.limit_hi = None
 
     def set_motor(self, target_velocity: float, max_force: float):
         self.motor_velocity = target_velocity
@@ -228,37 +220,13 @@ class HingeJoint(Joint):
         state = super().snapshot_state()
         state["motor_velocity"] = self.motor_velocity
         state["motor_max_force"] = self.motor_max_force
-        state["limit_lo"] = self.limit_lo
-        state["limit_hi"] = self.limit_hi
         return state
 
     def restore_state(self, state: dict):
         super().restore_state(state)
         self.motor_velocity = state["motor_velocity"]
         self.motor_max_force = state["motor_max_force"]
-        self.limit_lo = state["limit_lo"]
-        self.limit_hi = state["limit_hi"]
         return self
-
-    def set_limits(self, lo: float, hi: float):
-        self.limit_lo = lo
-        self.limit_hi = hi
-
-    def axis_world(self) -> Vec3:
-        return self.body_a.orientation.rotate(self.axis_local_a)
-
-    def angle(self) -> float:
-        """Signed rotation of body_b's reference around the hinge axis
-        relative to body_a's."""
-        axis = self.axis_world()
-        ref_a = self.body_a.orientation.rotate(self.ref_local_a)
-        ref_b = self.body_b.orientation.rotate(self.ref_local_b)
-        # Project both references into the plane perpendicular to axis.
-        pa = (ref_a - axis * ref_a.dot(axis)).normalized()
-        pb = (ref_b - axis * ref_b.dot(axis)).normalized()
-        s = axis.dot(pa.cross(pb))
-        c = pa.dot(pb)
-        return math.atan2(s, c)
 
     def begin_step(self, dt: float, erp: float = 0.2):
         rows = self._anchor_rows(dt, erp, self.anchor_local_a,
@@ -289,22 +257,6 @@ class HingeJoint(Joint):
                 lo=-cap, hi=cap,
                 joint=self,
             ))
-        if self.limit_lo is not None or self.limit_hi is not None:
-            angle = self.angle()
-            if self.limit_lo is not None and angle < self.limit_lo:
-                rows.append(Row(
-                    a, b, lin_a=zero, ang_a=-axis_a,
-                    lin_b=zero, ang_b=axis_a,
-                    rhs=beta * (self.limit_lo - angle),
-                    lo=0.0, hi=float("inf"), joint=self,
-                ))
-            elif self.limit_hi is not None and angle > self.limit_hi:
-                rows.append(Row(
-                    a, b, lin_a=zero, ang_a=axis_a,
-                    lin_b=zero, ang_b=-axis_a,
-                    rhs=beta * (angle - self.limit_hi),
-                    lo=0.0, hi=float("inf"), joint=self,
-                ))
         self.rows = rows
         return rows
 
@@ -355,73 +307,3 @@ class FixedJoint(Joint):
             return 0.0
         total = sum(r.impulse * r.impulse for r in self.rows[:3])
         return math.sqrt(total) / dt
-
-
-class SliderJoint(Joint):
-    """Prismatic joint along ``axis_world`` with an optional spring —
-    the car-suspension joint."""
-
-    def __init__(self, body_a, body_b, axis_world: Vec3,
-                 spring_k: float = 0.0, spring_damping: float = 0.0,
-                 rest_offset: float = 0.0):
-        super().__init__(body_a, body_b)
-        self.axis_local_a = body_a.orientation.rotate_inverse(
-            axis_world.normalized())
-        self.origin_local_a = body_a.orientation.rotate_inverse(
-            body_b.position - body_a.position)
-        self.q_rel = (body_b.orientation.conjugate()
-                      * body_a.orientation).normalized()
-        self.spring_k = spring_k
-        self.spring_damping = spring_damping
-        self.rest_offset = rest_offset
-
-    def travel(self) -> float:
-        axis = self.body_a.orientation.rotate(self.axis_local_a)
-        origin = self.body_a.position + self.body_a.orientation.rotate(
-            self.origin_local_a)
-        return (self.body_b.position - origin).dot(axis)
-
-    def begin_step(self, dt: float, erp: float = 0.2):
-        a, b = self.body_a, self.body_b
-        axis = a.orientation.rotate(self.axis_local_a)
-        origin = a.position + a.orientation.rotate(self.origin_local_a)
-        offset = b.position - origin
-        beta = erp / dt
-        zero = Vec3()
-        rows = []
-        # Two translation rows perpendicular to the slide axis.
-        p = axis.any_orthonormal()
-        q = axis.cross(p)
-        rb = Vec3()
-        for perp in (p, q):
-            ra = b.position - a.position
-            rows.append(Row(
-                a, b,
-                lin_a=perp, ang_a=ra.cross(perp),
-                lin_b=-perp, ang_b=-(rb.cross(perp)),
-                rhs=-beta * offset.dot(perp),
-                joint=self,
-            ))
-        # Lock relative rotation entirely.
-        target = (b.orientation * self.q_rel).normalized()
-        q_err = (a.orientation * target.conjugate()).normalized()
-        if q_err.w < 0.0:
-            q_err = type(q_err)(-q_err.w, -q_err.x, -q_err.y, -q_err.z)
-        err = Vec3(2.0 * q_err.x, 2.0 * q_err.y, 2.0 * q_err.z)
-        for k_axis in (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)):
-            rows.append(Row(
-                a, b,
-                lin_a=zero, ang_a=k_axis,
-                lin_b=zero, ang_b=-k_axis,
-                rhs=-beta * err.dot(k_axis),
-                joint=self,
-            ))
-        # Suspension spring as an external force along the axis.
-        if self.spring_k > 0.0:
-            x = self.travel() - self.rest_offset
-            v = (b.linear_velocity - a.linear_velocity).dot(axis)
-            f = -self.spring_k * x - self.spring_damping * v
-            b.apply_force(axis * f)
-            a.apply_force(axis * -f)
-        self.rows = rows
-        return rows

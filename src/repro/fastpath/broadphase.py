@@ -8,6 +8,10 @@ becomes one ``searchsorted`` over the sorted interval starts, and the
 candidate expansion plus y/z overlap filter run as flat array ops.  The
 emitted pair list — and the ``tests`` / ``swaps`` counters feeding the
 instruction model — are identical to the scalar strategy's.
+
+The bounds come from :func:`fill_aabbs`, which the vectorized CCD sweep
+shares: sphere and box AABBs in array form, the unbounded plane and
+heightfield ones from the scalar shapes.
 """
 
 from __future__ import annotations
@@ -28,22 +32,19 @@ def _pose(g):
 def fill_aabbs(geoms, mins, maxs):
     """Fill (n, 3) min/max arrays with each geom's exact AABB.
 
-    Spheres, boxes, and capsules batch through array restatements of
-    the ``Shape.aabb`` formulas (same products, same association, so
-    the bounds are bit-identical); anything else falls back to the
-    scalar ``geom.aabb()``.
+    Spheres and boxes batch through array restatements of the
+    ``Shape.aabb`` formulas (same products, same association, so the
+    bounds are bit-identical); planes and heightfields, a couple per
+    world at most, fall back to the scalar ``geom.aabb()``.
     """
     sph = []
     box = []
-    cap = []
     for i, g in enumerate(geoms):
         kind = g.shape.kind
         if kind == "sphere":
             sph.append(i)
         elif kind == "box":
             box.append(i)
-        elif kind == "capsule":
-            cap.append(i)
         else:
             bb = g.aabb()
             bmin, bmax = bb.min, bb.max
@@ -91,39 +92,6 @@ def fill_aabbs(geoms, mins, maxs):
         idx = np.asarray(box)
         mins[idx] = c - e
         maxs[idx] = c + e
-    if cap:
-        m = len(cap)
-        c = np.empty((m, 3))
-        q = np.empty((m, 4))
-        hl = np.empty(m)
-        r = np.empty((m, 1))
-        for row, i in enumerate(cap):
-            g = geoms[i]
-            p, o = _pose(g)
-            c[row] = (p.x, p.y, p.z)
-            q[row] = (o.w, o.x, o.y, o.z)
-            hl[row] = 0.5 * g.shape.length
-            r[row, 0] = g.shape.radius
-        w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        zero = np.zeros(m)
-        # transform.apply(±(0, l/2, 0)) with Quaternion.rotate's exact
-        # component expressions (see narrowphase._rotate).
-        a = np.empty((m, 3))
-        b = np.empty((m, 3))
-        for out, (vx, vy, vz) in ((a, (zero, hl, zero)),
-                                  (b, (-zero, -hl, -zero))):
-            uvx = y * vz - z * vy
-            uvy = z * vx - x * vz
-            uvz = x * vy - y * vx
-            uuvx = y * uvz - z * uvy
-            uuvy = z * uvx - x * uvz
-            uuvz = x * uvy - y * uvx
-            out[:, 0] = (vx + (uvx * w + uuvx) * 2.0) + c[:, 0]
-            out[:, 1] = (vy + (uvy * w + uuvy) * 2.0) + c[:, 1]
-            out[:, 2] = (vz + (uvz * w + uuvz) * 2.0) + c[:, 2]
-        idx = np.asarray(cap)
-        mins[idx] = np.minimum(a, b) - r
-        maxs[idx] = np.maximum(a, b) + r
 
 
 def _inversion_count(keys) -> int:

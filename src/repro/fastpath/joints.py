@@ -10,16 +10,15 @@ across every joint of every island in one NumPy pass that restates the
 scalar expressions term for term (including the multiplications by the
 basis axes' 0/1 components, so even the signs of zeros match).
 
-Rare, state-bearing pieces stay scalar: hinge motor and limit rows are
-assembled through the ordinary ``Row`` constructor, and slider joints
-(which apply spring forces) are left to their own ``begin_step``.
+Hinge motor rows, the one rare piece, are assembled through the ordinary
+``Row`` constructor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics.joints import BallJoint, FixedJoint, HingeJoint
+from ..dynamics.joints import FixedJoint, HingeJoint
 from ..dynamics.solver import Row
 from ..math3d import Vec3
 from .rows import _inv_k, _make_row, _vec
@@ -119,6 +118,14 @@ class _Bodies:
                     (self.Ib[i, 6], self.Ib[i, 7], self.Ib[i, 8]) = \
                     b.inv_inertia_world.m
 
+    def subset(self, sel):
+        """The joints at indices ``sel`` of this batch."""
+        sub = _Bodies.__new__(_Bodies)
+        sel = np.asarray(sel, dtype=np.intp)
+        for name in _Bodies.__slots__:
+            setattr(sub, name, getattr(self, name)[sel])
+        return sub
+
 
 def _angular_rows(bod, ex, ey, ez, rhs, joint_of, out):
     """Rows with zero linear parts: ang_a = e, ang_b = -e."""
@@ -140,31 +147,25 @@ def _angular_rows(bod, ex, ey, ez, rhs, joint_of, out):
 def build_joint_rows(joints, dt, erp):
     """``begin_step`` for many ball/hinge/fixed joints at once.
 
-    Returns a list aligned with ``joints``: a row list per batchable
-    joint, None where the caller must fall back to the joint's own
-    ``begin_step`` (sliders, subclasses).
+    Returns a list aligned with ``joints``: each joint's row list, also
+    stored on ``joint.rows`` as ``begin_step`` does.
     """
-    out = [None] * len(joints)
-    batch = []
+    if not joints:
+        return []
     hinges = []
     fixeds = []
     for i, j in enumerate(joints):
         t = type(j)
-        if t is BallJoint or t is HingeJoint or t is FixedJoint:
-            if t is HingeJoint:
-                hinges.append((len(batch), i, j))
-            elif t is FixedJoint:
-                fixeds.append((len(batch), i, j))
-            batch.append((i, j))
-    if not batch:
-        return out
+        if t is HingeJoint:
+            hinges.append(i)
+        elif t is FixedJoint:
+            fixeds.append(i)
 
     beta = erp / dt
-    joints_b = [j for _, j in batch]
-    bod = _Bodies(joints_b)
-    m = len(batch)
+    bod = _Bodies(joints)
+    m = len(joints)
     anchors = np.empty((m, 6))
-    for i, j in enumerate(joints_b):
+    for i, j in enumerate(joints):
         la = j.anchor_local_a
         lb = j.anchor_local_b
         anchors[i] = (la.x, la.y, la.z, lb.x, lb.y, lb.z)
@@ -196,7 +197,8 @@ def build_joint_rows(joints, dt, erp):
                              abx.tolist(), aby.tolist(), abz.tolist(),
                              rhs.tolist(), ik.tolist()))
 
-    for i, (src, j) in enumerate(batch):
+    out = []
+    for i, j in enumerate(joints):
         rows = []
         for k in range(3):
             aax, aay, aaz, abx, aby, abz, rhs, ik = per_axis[k]
@@ -206,20 +208,11 @@ def build_joint_rows(joints, dt, erp):
                 _vec(abx[i], aby[i], abz[i]),
                 rhs[i], -_INF, _INF, None, 0.0, j, ik[i]))
         j.rows = rows
-        out[src] = rows
+        out.append(rows)
 
     if hinges:
-        hsel = np.array([bi for bi, _, _ in hinges], dtype=np.intp)
-        hjoints = [j for _, _, j in hinges]
-        hbod = _Bodies.__new__(_Bodies)
-        hbod.q = q[hsel]
-        hbod.p = p[hsel]
-        hbod.ima = bod.ima[hsel]
-        hbod.imb = bod.imb[hsel]
-        hbod.Ia = bod.Ia[hsel]
-        hbod.Ib = bod.Ib[hsel]
-        hbod.a_dyn = bod.a_dyn[hsel]
-        hbod.b_dyn = bod.b_dyn[hsel]
+        hbod = bod.subset(hinges)
+        hjoints = [joints[i] for i in hinges]
         hm = len(hinges)
         axes_l = np.empty((hm, 6))
         for i, j in enumerate(hjoints):
@@ -258,36 +251,10 @@ def build_joint_rows(joints, dt, erp):
                     lo=-cap, hi=cap,
                     joint=j,
                 ))
-            if j.limit_lo is not None or j.limit_hi is not None:
-                angle = j.angle()
-                axis_a = _vec(axl[i], ayl[i], azl[i])
-                if j.limit_lo is not None and angle < j.limit_lo:
-                    rows.append(Row(
-                        j.body_a, j.body_b, lin_a=_ZERO, ang_a=-axis_a,
-                        lin_b=_ZERO, ang_b=axis_a,
-                        rhs=beta * (j.limit_lo - angle),
-                        lo=0.0, hi=_INF, joint=j,
-                    ))
-                elif j.limit_hi is not None and angle > j.limit_hi:
-                    rows.append(Row(
-                        j.body_a, j.body_b, lin_a=_ZERO, ang_a=axis_a,
-                        lin_b=_ZERO, ang_b=-axis_a,
-                        rhs=beta * (angle - j.limit_hi),
-                        lo=0.0, hi=_INF, joint=j,
-                    ))
 
     if fixeds:
-        fsel = np.array([bi for bi, _, _ in fixeds], dtype=np.intp)
-        fjoints = [j for _, _, j in fixeds]
-        fbod = _Bodies.__new__(_Bodies)
-        fbod.q = q[fsel]
-        fbod.p = p[fsel]
-        fbod.ima = bod.ima[fsel]
-        fbod.imb = bod.imb[fsel]
-        fbod.Ia = bod.Ia[fsel]
-        fbod.Ib = bod.Ib[fsel]
-        fbod.a_dyn = bod.a_dyn[fsel]
-        fbod.b_dyn = bod.b_dyn[fsel]
+        fbod = bod.subset(fixeds)
+        fjoints = [joints[i] for i in fixeds]
         fm = len(fixeds)
         qrel = np.empty((fm, 4))
         for i, j in enumerate(fjoints):

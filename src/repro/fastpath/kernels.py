@@ -48,12 +48,9 @@ def build_rows(world, islands, dt: float):
         for _cj in island.contact_joints:
             island_rows.extend(built[pos])
             pos += 1
-        for joint in island.joints:
-            jrows = jbuilt[jpos]
+        for _joint in island.joints:
+            island_rows.extend(jbuilt[jpos])
             jpos += 1
-            if jrows is None:
-                jrows = joint.begin_step(dt, erp)
-            island_rows.extend(jrows)
         islands_rows.append(island_rows)
     return islands_rows
 

@@ -104,41 +104,6 @@ class Box(Shape):
         return {"kind": self.kind, "half_extents": [h.x, h.y, h.z]}
 
 
-class Capsule(Shape):
-    """Capsule along the local y axis (cylinder of ``length`` + caps)."""
-
-    kind = "capsule"
-    __slots__ = ("radius", "length")
-
-    def __init__(self, radius: float, length: float):
-        if radius <= 0 or length < 0:
-            raise ValueError("bad capsule dimensions")
-        self.radius = float(radius)
-        self.length = float(length)
-
-    def __repr__(self):
-        return f"Capsule(r={self.radius}, l={self.length})"
-
-    def endpoints(self, transform: Transform):
-        half = Vec3(0, 0.5 * self.length, 0)
-        return (transform.apply(half), transform.apply(-half))
-
-    def aabb(self, transform: Transform) -> AABB:
-        a, b = self.endpoints(transform)
-        r = Vec3(self.radius, self.radius, self.radius)
-        return AABB(
-            Vec3(min(a.x, b.x), min(a.y, b.y), min(a.z, b.z)) - r,
-            Vec3(max(a.x, b.x), max(a.y, b.y), max(a.z, b.z)) + r,
-        )
-
-    def bounding_radius(self) -> float:
-        return 0.5 * self.length + self.radius
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "radius": self.radius,
-                "length": self.length}
-
-
 class Plane(Shape):
     """Infinite static half-space: points with normal.p <= offset are
     inside the solid."""
@@ -252,8 +217,6 @@ def shape_from_dict(data: dict) -> Shape:
         return Sphere(data["radius"])
     if kind == "box":
         return Box(Vec3(*data["half_extents"]))
-    if kind == "capsule":
-        return Capsule(data["radius"], data["length"])
     if kind == "plane":
         return Plane(Vec3(*data["normal"]), data["offset"])
     if kind == "heightfield":

@@ -3,8 +3,6 @@ inertia tensors."""
 
 from .inertia import (
     box_inertia,
-    capsule_inertia,
-    point_mass_inertia,
     rotate_inertia,
     shape_mass_inertia,
     sphere_inertia,
@@ -21,8 +19,6 @@ __all__ = [
     "Transform",
     "sphere_inertia",
     "box_inertia",
-    "capsule_inertia",
-    "point_mass_inertia",
     "shape_mass_inertia",
     "rotate_inertia",
 ]

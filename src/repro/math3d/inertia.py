@@ -33,31 +33,6 @@ def box_inertia(half_extents: Vec3, density: float) -> MassInertia:
     )
 
 
-def capsule_inertia(radius: float, length: float,
-                    density: float) -> MassInertia:
-    """Capsule aligned with the local y axis; ``length`` is the
-    cylindrical section (total height = length + 2*radius)."""
-    r2 = radius * radius
-    cyl_mass = density * math.pi * r2 * length
-    cap_mass = density * (4.0 / 3.0) * math.pi * radius ** 3
-    mass = cyl_mass + cap_mass
-    # Cylinder about its center.
-    i_axial = 0.5 * cyl_mass * r2
-    i_trans = cyl_mass * (0.25 * r2 + length * length / 12.0)
-    # Hemispheres: sphere inertia + parallel-axis shift to ends.
-    i_sph = 0.4 * cap_mass * r2
-    h = 0.5 * length + 3.0 / 8.0 * radius  # hemisphere CoM offset
-    i_trans += i_sph + cap_mass * h * h
-    i_axial += i_sph
-    return mass, Mat3.diagonal(i_trans, i_axial, i_trans)
-
-
-def point_mass_inertia(mass: float, radius: float = 0.1) -> MassInertia:
-    """Fallback: treat as a solid sphere of the given radius."""
-    i = 0.4 * mass * radius * radius
-    return mass, Mat3.diagonal(i, i, i)
-
-
 def shape_mass_inertia(shape: Any, density: float) -> MassInertia:
     """Dispatch on shape kind (duck-typed to avoid circular imports)."""
     kind = getattr(shape, "kind", None)
@@ -65,8 +40,6 @@ def shape_mass_inertia(shape: Any, density: float) -> MassInertia:
         return sphere_inertia(shape.radius, density)
     if kind == "box":
         return box_inertia(shape.half_extents, density)
-    if kind == "capsule":
-        return capsule_inertia(shape.radius, shape.length, density)
     raise TypeError(f"no inertia model for shape kind {kind!r}")
 
 

@@ -20,6 +20,11 @@ from . import protocol
 from .cluster import SimCluster
 from .metrics import merge_snapshots
 
+#: Longest request line :func:`serve_tcp` reads. A ``restore`` line
+#: carries a whole checkpoint; a cloth session's passes asyncio's
+#: 64 KiB default stream limit even at test scale.
+MAX_LINE_BYTES = 64 * 1024 * 1024
+
 
 class SimService:
     """Async session API over a running cluster.
@@ -151,8 +156,10 @@ async def serve_tcp(service: SimService, host: str = "127.0.0.1",
 
     One request dict per line, one reply dict per line; concurrent
     requests from one connection interleave (each line spawns a task).
-    Returns the listening ``asyncio.Server`` (``server.sockets[0]
-    .getsockname()`` reveals the bound port when ``port=0``).
+    A line longer than :data:`MAX_LINE_BYTES` gets a typed error frame
+    and closes the connection. Returns the listening ``asyncio.Server``
+    (``server.sockets[0].getsockname()`` reveals the bound port when
+    ``port=0``).
     """
 
     async def handle_connection(reader, writer):
@@ -169,7 +176,16 @@ async def serve_tcp(service: SimService, host: str = "127.0.0.1",
         tasks = {}  # in-flight replies, as an insertion-ordered set
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the limit: the stream cannot resynchronise
+                    # mid-line, so answer once and hang up.
+                    await send(protocol.error_reply(
+                        -1, protocol.WorkerError(
+                            f"request line exceeds {MAX_LINE_BYTES}"
+                            f" bytes")))
+                    break
                 if not line:
                     break
                 try:
@@ -186,4 +202,5 @@ async def serve_tcp(service: SimService, host: str = "127.0.0.1",
                 task.cancel()
             writer.close()
 
-    return await asyncio.start_server(handle_connection, host, port)
+    return await asyncio.start_server(handle_connection, host, port,
+                                      limit=MAX_LINE_BYTES)

@@ -1,4 +1,4 @@
-"""Broadphase agreement, narrowphase contact and world raycast tests."""
+"""Broadphase agreement and narrowphase contact tests."""
 
 import random
 
@@ -10,12 +10,9 @@ from repro.collision import (
     SpatialHashBroadphase,
     SweepAndPrune,
     Geom,
-    RayHit,
     collide,
-    raycast_world,
 )
 from repro.dynamics import Body
-from repro.engine import World
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Quaternion, Transform, Vec3
 
@@ -164,30 +161,3 @@ class TestNarrowphase:
         bp = SweepAndPrune()
         bp.pairs(geoms)
         assert bp.tests >= 0
-
-
-def test_raycast_world_nearest_hit_exclusion_and_misses():
-    """A +x ray through two radius-0.5 spheres centred at x=5 and x=9."""
-    world = World()
-    near = world.attach(Body(position=Vec3(5, 0, 0)), Sphere(0.5))
-    far = world.attach(Body(position=Vec3(9, 0, 0)), Sphere(0.5))
-    origin, along_x = Vec3(0, 0, 0), Vec3(2, 0, 0)  # normalized inside
-
-    hit = raycast_world(world, origin, along_x)
-    assert isinstance(hit, RayHit)
-    assert hit.geom is near
-    assert hit.t == pytest.approx(4.5)
-    assert (hit.point - Vec3(4.5, 0, 0)).length() < 1e-12
-    assert (hit.normal - Vec3(-1, 0, 0)).length() < 1e-12
-
-    skipped = raycast_world(world, origin, along_x,
-                            exclude_body=near.body)
-    assert skipped.geom is far
-    assert skipped.t == pytest.approx(8.5)
-
-    near.body.enabled = False  # a geom is enabled iff its body is
-    assert raycast_world(world, origin, along_x).geom is far
-    near.body.enabled = True
-
-    assert raycast_world(world, origin, along_x, max_dist=4.4) is None
-    assert raycast_world(world, origin, Vec3(0, 1, 0)) is None

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.geometry import AABB, Box, Capsule, Heightfield, Plane, Sphere
+from repro.geometry import AABB, Box, Heightfield, Plane, Sphere
 from repro.math3d import Quaternion, Transform, Vec3
 
 
@@ -87,4 +87,3 @@ class TestShapes:
         assert Sphere(1.5).bounding_radius() == 1.5
         assert abs(Box(Vec3(1, 1, 1)).bounding_radius()
                    - math.sqrt(3.0)) < 1e-12
-        assert Capsule(0.5, 2.0).bounding_radius() == 1.5

@@ -381,6 +381,26 @@ class TestCluster:
 
 
 # -- end-to-end: asyncio front-end --------------------------------------
+def over_tcp(scenario):
+    """Run ``scenario(reader, writer)`` on one connection to a one-shard
+    service behind :func:`serve_tcp`."""
+    async def main():
+        async with SimService.start(n_shards=1) as service:
+            server = await serve_tcp(service)
+            try:
+                host, port = server.sockets[0].getsockname()[:2]
+                reader, writer = await asyncio.open_connection(
+                    host, port, limit=2 ** 24)
+                try:
+                    return await scenario(reader, writer)
+                finally:
+                    writer.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+    return asyncio.run(main())
+
+
 class TestService:
     def test_async_verbs_and_stats(self):
         async def scenario():
@@ -425,52 +445,83 @@ class TestService:
         assert served == twin.state_digest()
 
     def test_tcp_json_lines_round_trip(self):
-        async def scenario():
-            service = SimService.start(n_shards=1)
-            server = await serve_tcp(service)
-            try:
-                host, port = server.sockets[0].getsockname()[:2]
-                reader, writer = await asyncio.open_connection(host,
-                                                               port)
-                # Valid JSON that is not a request object gets the same
-                # typed error frame as bad JSON, and the connection
-                # keeps serving.
-                rejected = []
-                for line in (b"[1,2]", b"5", b'"x"', b"null", b"{bad"):
-                    writer.write(line + b"\n")
-                    await writer.drain()
-                    rejected.append(json.loads(await asyncio.wait_for(
-                        reader.readline(), timeout=10)))
-                for req in (
-                    {"req_id": 1, "verb": "create",
-                     "session_id": "net",
-                     "args": {"spec": spec(seed=2).to_dict()}},
-                    {"req_id": 2, "verb": "step", "session_id": "net",
-                     "args": {"frames": 2}},
-                    {"req_id": 3, "verb": "query",
-                     "session_id": "net"},
-                    {"req_id": 4, "verb": "destroy",
-                     "session_id": "net"},
-                ):
-                    writer.write(json.dumps(req).encode() + b"\n")
+        async def scenario(reader, writer):
+            # Valid JSON that is not a request object gets the same
+            # typed error frame as bad JSON, and the connection keeps
+            # serving.
+            rejected = []
+            for line in (b"[1,2]", b"5", b'"x"', b"null", b"{bad"):
+                writer.write(line + b"\n")
                 await writer.drain()
-                replies = {}
-                for _ in range(4):
-                    line = await asyncio.wait_for(reader.readline(),
-                                                  timeout=60)
-                    reply = json.loads(line)
-                    replies[reply["req_id"]] = reply
-                writer.close()
-                return rejected, replies
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.close()
+                rejected.append(json.loads(await asyncio.wait_for(
+                    reader.readline(), timeout=10)))
+            for req in (
+                {"req_id": 1, "verb": "create", "session_id": "net",
+                 "args": {"spec": spec(seed=2).to_dict()}},
+                {"req_id": 2, "verb": "step", "session_id": "net",
+                 "args": {"frames": 2}},
+                {"req_id": 3, "verb": "query", "session_id": "net"},
+                {"req_id": 4, "verb": "destroy", "session_id": "net"},
+            ):
+                writer.write(json.dumps(req).encode() + b"\n")
+            await writer.drain()
+            replies = {}
+            for _ in range(4):
+                line = await asyncio.wait_for(reader.readline(),
+                                              timeout=60)
+                reply = json.loads(line)
+                replies[reply["req_id"]] = reply
+            return rejected, replies
 
-        rejected, replies = asyncio.run(scenario())
+        rejected, replies = over_tcp(scenario)
         for reply in rejected:
             assert reply["req_id"] == -1 and reply["ok"] is False
             assert reply["error"]["type"] == "WorkerError"
         assert all(r["ok"] for r in replies.values())
         assert replies[3]["result"]["frame_index"] == 2
         assert len(replies[3]["result"]["digest"]) == 64
+
+    def test_tcp_restore_of_a_cloth_checkpoint_round_trips(self):
+        """A cloth checkpoint is a request line past asyncio's 64 KiB
+        default stream limit; restoring it over TCP still works."""
+        cloth = spec("deformable", scale=0.05)
+
+        async def scenario(reader, writer):
+            async def call(req_id, verb, **args):
+                msg = protocol.request(req_id, verb, "cloth", **args)
+                writer.write(json.dumps(msg).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(
+                    reader.readline(), timeout=120))
+                assert reply["req_id"] == req_id
+                return protocol.raise_if_error(reply)
+
+            await call(1, "create", spec=cloth.to_dict())
+            await call(2, "step", frames=2)
+            payload = await call(3, "checkpoint")
+            assert len(json.dumps(payload)) > 64 * 1024
+            await call(4, "destroy")
+            await call(5, "restore", payload=payload)
+            return (await call(6, "query"))["digest"]
+
+        served = over_tcp(scenario)
+        twin = Session.create(cloth)
+        twin.step(2)
+        assert served == twin.state_digest()
+
+    def test_tcp_line_over_the_limit_gets_a_typed_frame(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.service.MAX_LINE_BYTES", 1024)
+
+        async def scenario(reader, writer):
+            writer.write(b'{"req_id": 1, "verb": "query", "pad": "'
+                         + b"x" * 4096 + b'"}\n')
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(),
+                                                      timeout=10))
+            return reply, await asyncio.wait_for(reader.read(), timeout=10)
+
+        reply, rest = over_tcp(scenario)
+        assert reply["req_id"] == -1 and reply["ok"] is False
+        assert reply["error"]["type"] == "WorkerError"
+        assert "1024 bytes" in reply["error"]["message"]
+        assert rest == b""  # the server hung up

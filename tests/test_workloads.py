@@ -3,6 +3,8 @@
 import pytest
 
 from repro.api import Session, SessionSpec, run_scenario
+from repro.dynamics import ContactJoint, Joint
+from repro.geometry import Shape
 from repro.profiling import PARALLEL_PHASES, mean_report
 from repro.profiling.tasks import cg_speedup
 from repro.workloads import (
@@ -28,6 +30,25 @@ class TestBenchmarkRegistry:
         world, driver = get_benchmark("periodic").build(scale=0.05, seed=1)
         assert world.bodies
         world.step()  # usable immediately
+
+
+def _subclasses(cls):
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | _subclasses(sub)
+    return found
+
+
+def test_every_shape_and_joint_class_is_built_by_a_table3_scene():
+    """The engine ships what the eight Table 3 scenes build: every shape
+    kind and every non-contact joint class appears in at least one."""
+    kinds, joint_types = set(), set()
+    for bench in BENCHMARKS.values():
+        world, _driver = bench.build(scale=0.03, seed=0)
+        kinds |= {geom.shape.kind for geom in world.geoms}
+        joint_types |= {type(joint) for joint in world.joints}
+    assert kinds == {cls.kind for cls in _subclasses(Shape)}
+    assert joint_types == _subclasses(Joint) - {ContactJoint}
 
 
 class TestBenchmarkRuns:
