@@ -6,8 +6,8 @@ three ways — scalar one-by-one, backend="numpy" one-by-one, and as a
 single :class:`repro.fastpath.BatchWorld` — then prints per-world frame
 times.  The batch path packs every world's constraint islands into one
 solve call per sub-step, the way a ``repro.serve`` shard steps a
-cohort; the packed rows go through the same sequential recurrence as
-one world's, so packing buys lockstep stepping, not cheaper rows.
+cohort; the packed rows go through the same C sweep as one world's, so
+packing buys lockstep stepping, not cheaper rows.
 
 Run from the repo root::
 

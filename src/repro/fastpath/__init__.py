@@ -2,20 +2,17 @@
 
 ``repro.fastpath`` restates the profiled hot loops behind the existing
 APIs.  The SAP interval sweep, the sphere/box narrowphase pair tests
-and Jakobsen cloth relaxation are vectorized; PGS row iteration and the
-per-body force/integrate loops are unboxed sequential recurrences over
-plain floats, because their dependency chains leave too few
-independent lanes for array dispatch to pay.  A world binds one kernel
-set at construction::
+and Jakobsen cloth relaxation are vectorized; the per-body force and
+integrate loops run over unboxed floats, and the PGS sweep, whose
+dependency chain leaves no lanes for array code, is a C kernel
+(``pgs.c``) with the scalar solver as its fallback.  A world binds one
+kernel set at construction::
 
     World(backend="numpy")     # repro.fastpath.kernels (SoA)
     World(backend="scalar")    # repro.engine.scalar, the oracle (default)
 
-Backend resolution, in priority order:
-
-1. the explicit ``backend=`` argument,
-2. the ``REPRO_BACKEND`` environment variable,
-3. ``"scalar"``.
+Backend resolution, in priority order: the explicit ``backend=``
+argument, the ``REPRO_BACKEND`` environment variable, ``"scalar"``.
 
 The scalar implementations are retained verbatim as the correctness
 and ablation oracle: every kernel here restates the same arithmetic in

@@ -8,8 +8,8 @@ lockstep and packs *all* worlds' prepared islands into a single
 ``solve`` call of their shared kernel set.  Worlds are disjoint,
 so the packing changes nothing numerically (each island still sees
 exactly its own rows and bodies).  The packed rows go through the same
-sequential recurrence as one world's, so packing makes no row cheaper:
-it turns N solver calls per sub-step into one.
+C sweep as one world's, so packing makes no row cheaper: it turns N
+solver calls per sub-step into one.
 
 Every world steps bit-identically to stepping it alone: the stage
 boundaries only hoist work across disjoint worlds, the same argument

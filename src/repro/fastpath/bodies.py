@@ -3,10 +3,9 @@
 These restate ``World._apply_forces`` and ``World._integrate`` with the
 same arithmetic in the same order, but without allocating ``Vec3`` /
 ``Mat3`` / ``Quaternion`` intermediates — each body's state is unpacked
-to plain floats once, advanced, and written back.  Like the solver's
-row recurrence, this is the unboxed arm of the fast path: the
-per-entity state (13 floats) is too small for NumPy dispatch to pay off
-at per-world populations, while the attribute/method overhead it
+to plain floats once, advanced, and written back.  The per-entity
+state (13 floats) is too small for NumPy dispatch to pay off at
+per-world populations, while the attribute/method overhead this
 removes is most of the phase cost.
 
 CCD candidates (per-sub-step motion beyond the sweep threshold) go

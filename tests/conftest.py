@@ -1,9 +1,11 @@
 """Make ``src/`` importable whether or not PYTHONPATH is set, pin the
-Hypothesis execution profiles, and share the suite's one regeneration
-of ``results/``."""
+Hypothesis execution profiles, share the suite's one regeneration of
+``results/``, and switch the packed solve between its two paths."""
 
+import contextlib
 import os
 import sys
+from unittest import mock
 
 import pytest
 
@@ -45,6 +47,26 @@ def regen():
     # read them would no longer match the pinned files.
     Session.create(SessionSpec("periodic", scale=0.02), isolate_uids=False)
     return regenerate()
+
+
+@pytest.fixture(scope="session")
+def pgs_path():
+    """``with pgs_path(p):`` runs the block's packed solves on the C
+    kernel (``"native"``) or on the scalar oracle the loader falls back
+    to (``"fallback"``).  Session-scoped and self-restoring, so
+    Hypothesis tests can take it; tests loop or parametrise over both
+    paths, so every tier-1 run covers each."""
+    from repro.fastpath import solver
+
+    @contextlib.contextmanager
+    def use(path):
+        if path == "native":
+            yield
+        else:
+            assert path == "fallback", path
+            with mock.patch.object(solver, "_native", lambda: None):
+                yield
+    return use
 
 
 def pytest_addoption(parser):

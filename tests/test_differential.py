@@ -4,7 +4,9 @@ The scalar pipeline is the reference implementation; every fastpath
 kernel claims to be a pure restatement of it.  This harness holds the
 kernels to that claim: each Table 3 workload is stepped on both
 backends and the trajectories must agree to the last bit
-(``trajectory_divergence == 0.0``, not merely "close").  Bit-identity
+(``trajectory_divergence == 0.0``, not merely "close").  The numpy
+side runs once per packed-solve path (the C kernel and the scalar
+fallback), so both are held to the oracle in every run.  Bit-identity
 is what keeps the resilience layer's divergence detection meaningful —
 a tolerance here would become an undetectable drift budget there.
 """
@@ -17,7 +19,7 @@ from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
 from repro.fastpath import BatchWorld
 from repro.workloads.benchmarks import BENCHMARKS
 
-# Small scale keeps the eight double runs affordable; 60 frames is long
+# Small scale keeps the eight triple runs affordable; 60 frames is long
 # enough for cannons, explosion schedules and sleep/wake transitions in
 # every workload to fire (see the drivers in repro.workloads).
 SCALE = float(os.environ.get("REPRO_DIFF_SCALE", "0.03"))
@@ -39,11 +41,17 @@ def _island_key(world):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_backend_trajectories_bit_identical(name):
+def test_backend_trajectories_bit_identical(name, pgs_path):
     rec_s, world_s = _run(name, "scalar")
-    rec_n, world_n = _run(name, "numpy")
-    div = trajectory_divergence(rec_s, rec_n)
-    assert div == 0.0, f"{name}: backends diverged by {div}"
+    for path in ("native", "fallback"):
+        with pgs_path(path):
+            rec_n, world_n = _run(name, "numpy")
+        div = trajectory_divergence(rec_s, rec_n)
+        assert div == 0.0, f"{name} ({path}): backends diverged by {div}"
+        _assert_residuals_match(world_s, world_n)
+
+
+def _assert_residuals_match(world_s, world_n):
     # The watchdog's divergence detection keys off solver residuals, so
     # those must survive the backend swap bit-for-bit too.  Islands may
     # be *enumerated* in a different order (the batched narrowphase
@@ -78,8 +86,9 @@ def _record_batch(batch, drivers, frames):
     return recs
 
 
-def test_batch_world_matches_solo_stepping():
-    """Packing N worlds into one solve must not change any of them."""
+def test_batch_world_matches_solo_stepping(pgs_path):
+    """Packing N worlds into one solve must not change any of them, on
+    either solve path."""
     frames = 12
     solo = []
     for seed in range(4):
@@ -87,12 +96,14 @@ def test_batch_world_matches_solo_stepping():
                                                     backend="numpy")
         solo.append(TrajectoryRecorder(world).record(frames, driver))
 
-    worlds, drivers = _build_fleet(4)
-    batch = BatchWorld(worlds)
-    recs = _record_batch(batch, drivers, frames)
-    for seed, (a, b) in enumerate(zip(solo, recs)):
-        div = trajectory_divergence(a, b)
-        assert div == 0.0, f"world seed={seed} diverged by {div}"
+    for path in ("native", "fallback"):
+        worlds, drivers = _build_fleet(4)
+        with pgs_path(path):
+            recs = _record_batch(BatchWorld(worlds), drivers, frames)
+        for seed, (a, b) in enumerate(zip(solo, recs)):
+            div = trajectory_divergence(a, b)
+            assert div == 0.0, (
+                f"world seed={seed} ({path}) diverged by {div}")
 
 
 def test_batch_world_rejects_mixed_fleet():

@@ -79,7 +79,13 @@ def test_sap_pairs_match_brute_force(specs, moves):
 # -- PGS solver ---------------------------------------------------------
 
 def _build_island(seed, n_bodies, n_rows):
-    """Random bodies + rows; same seed -> bit-identical island."""
+    """Random bodies + rows; same seed -> bit-identical island.
+
+    Besides body-body contacts, joints and bounded rows it draws the
+    branches a port of the sweep can get wrong: ground contacts (a
+    ``None`` endpoint, slot -1 when packed), rows between two static
+    bodies (``inv_k == 0.0`` among live rows) and bilateral rows with
+    ``rhs`` exactly 0.0, whose deltas can come out as -0.0."""
     rng = random.Random(seed)
     bodies = []
     for _ in range(n_bodies):
@@ -92,6 +98,7 @@ def _build_island(seed, n_bodies, n_rows):
                                   rng.uniform(-2, 2),
                                   rng.uniform(-2, 2))
         bodies.append(b)
+    ground = [Body(mass=0.0), Body(mass=0.0)]
 
     def vec():
         return Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1),
@@ -100,92 +107,102 @@ def _build_island(seed, n_bodies, n_rows):
     rows = []
     for _ in range(n_rows):
         ia, ib = rng.sample(range(n_bodies), 2)
+        a = bodies[ia]
+        b = None if rng.random() < 0.2 else bodies[ib]
         kind = rng.random()
-        if kind < 0.5:
+        if kind < 0.4:
             # Contact normal + optional friction pair.
-            normal = Row(bodies[ia], bodies[ib], vec(), vec(), vec(),
-                         vec(), rhs=rng.uniform(-1, 1), lo=0.0,
+            normal = Row(a, b, vec(), vec(), vec(), vec(),
+                         rhs=rng.uniform(-1, 1), lo=0.0,
                          hi=float("inf"), cfm=rng.uniform(0.0, 1e-6))
             rows.append(normal)
             if rng.random() < 0.7:
-                rows.append(Row(bodies[ia], bodies[ib], vec(), vec(),
-                                vec(), vec(), rhs=0.0,
-                                friction_of=normal,
+                rows.append(Row(a, b, vec(), vec(), vec(), vec(),
+                                rhs=0.0, friction_of=normal,
                                 friction_coeff=rng.uniform(0.1, 1.0)))
-        elif kind < 0.8:
+        elif kind < 0.6:
             # Bilateral (joint-style) row.
-            rows.append(Row(bodies[ia], bodies[ib], vec(), vec(),
-                            vec(), vec(), rhs=rng.uniform(-1, 1),
+            rows.append(Row(a, b, vec(), vec(), vec(), vec(),
+                            rhs=rng.uniform(-1, 1),
                             cfm=rng.uniform(0.0, 1e-6)))
+        elif kind < 0.7:
+            rows.append(Row(a, b, vec(), vec(), vec(), vec(), rhs=0.0))
+        elif kind < 0.8:
+            rows.append(Row(ground[0], ground[1], vec(), vec(), vec(),
+                            vec(), rhs=rng.uniform(-1, 1)))
         else:
             lo = rng.uniform(-2, 0)
-            rows.append(Row(bodies[ia], bodies[ib], vec(), vec(),
-                            vec(), vec(), rhs=rng.uniform(-1, 1),
-                            lo=lo, hi=lo + rng.uniform(0.0, 3.0)))
+            rows.append(Row(a, b, vec(), vec(), vec(), vec(),
+                            rhs=rng.uniform(-1, 1), lo=lo,
+                            hi=lo + rng.uniform(0.0, 3.0)))
     return bodies, rows
+
+
+def _bits(bodies, rows, s):
+    """Everything one island's solve produces, floats as exact hex
+    strings (so -0.0 and 0.0 differ)."""
+    out = [(s.rows, s.iterations, s.row_updates, s.max_delta.hex(),
+            s.residual.hex())]
+    out += [r.impulse.hex() for r in rows]
+    for b in bodies:
+        v, w = b.linear_velocity, b.angular_velocity
+        out += [x.hex() for x in (v.x, v.y, v.z, w.x, w.y, w.z)]
+    return out
 
 
 @RELAXED
 @given(seed=st.integers(0, 2**31 - 1), n_bodies=st.integers(2, 10),
        n_rows=st.integers(0, 30), iterations=st.integers(1, 12),
        n_islands=st.integers(1, 6))
-def test_pgs_soa_matches_scalar(seed, n_bodies, n_rows, iterations,
-                                n_islands):
+def test_pgs_soa_matches_scalar(pgs_path, seed, n_bodies, n_rows,
+                                iterations, n_islands):
     """One packed solve over ``n_islands`` body-disjoint islands
-    reproduces the scalar PGS sweep of each island on its own exactly:
-    same impulses, same body velocities, same SolveStats — including
-    islands that settle and retire while the rest of the pack sweeps."""
+    reproduces the scalar PGS sweep of each island on its own exactly,
+    on both solve paths: same impulses, same body velocities, same
+    SolveStats — including islands that settle and retire while the
+    rest of the pack sweeps."""
     # Island i has n_rows // (i + 1) rows, so a pack mixes large and
     # small (early-settling) islands.
     sizes = [(seed + i, n_bodies, n_rows // (i + 1))
              for i in range(n_islands)]
     scalar = [_build_island(*size) for size in sizes]
-    packed = [_build_island(*size) for size in sizes]
-
     stats_s = [solve_island(rows, iterations) for _, rows in scalar]
-    stats_f = solve_islands([rows for _, rows in packed], iterations)
-
-    def fields(stats):
-        return [(s.rows, s.iterations, s.row_updates, s.max_delta,
-                 s.residual) for s in stats]
-
-    assert fields(stats_f) == fields(stats_s)
-    for (bodies_s, rows_s), (bodies_f, rows_f) in zip(scalar, packed):
-        for rs, rf in zip(rows_s, rows_f):
-            assert rs.impulse == rf.impulse
-        for bs, bf in zip(bodies_s, bodies_f):
-            assert (bs.linear_velocity.x, bs.linear_velocity.y,
-                    bs.linear_velocity.z) == (bf.linear_velocity.x,
-                                              bf.linear_velocity.y,
-                                              bf.linear_velocity.z)
-            assert (bs.angular_velocity.x, bs.angular_velocity.y,
-                    bs.angular_velocity.z) == (bf.angular_velocity.x,
-                                               bf.angular_velocity.y,
-                                               bf.angular_velocity.z)
+    want = [_bits(bodies, rows, stats)
+            for (bodies, rows), stats in zip(scalar, stats_s)]
+    for path in ("native", "fallback"):
+        packed = [_build_island(*size) for size in sizes]
+        with pgs_path(path):
+            stats_f = solve_islands([rows for _, rows in packed],
+                                    iterations)
+        got = [_bits(bodies, rows, stats)
+               for (bodies, rows), stats in zip(packed, stats_f)]
+        assert got == want, path
 
 
 @RELAXED
 @given(seed=st.integers(0, 2**31 - 1), n_bodies=st.integers(2, 8),
        n_rows=st.integers(1, 20), iterations=st.integers(1, 10))
-def test_pgs_impulses_respect_bounds(seed, n_bodies, n_rows,
+def test_pgs_impulses_respect_bounds(pgs_path, seed, n_bodies, n_rows,
                                      iterations):
     """Projected impulses stay inside [lo, hi]; friction magnitudes
     stay inside the cone set by their normal row's final impulse."""
-    _, rows = _build_island(seed, n_bodies, n_rows)
-    solve_islands([rows], iterations)
-    for row in rows:
-        if row.inv_k == 0.0:
-            # Degenerate row (e.g. static-static pair): solve_once
-            # bails before projecting, so impulse stays 0 even when
-            # 0 is outside [lo, hi].  Both backends agree on this.
-            assert row.impulse == 0.0
-            continue
-        if row.friction_of is not None:
-            bound = row.friction_coeff * row.friction_of.impulse
-            assert abs(row.impulse) <= bound + 1e-9
-        else:
-            assert row.lo - 1e-12 <= row.impulse <= row.hi + 1e-12
-        assert math.isfinite(row.impulse)
+    for path in ("native", "fallback"):
+        _, rows = _build_island(seed, n_bodies, n_rows)
+        with pgs_path(path):
+            solve_islands([rows], iterations)
+        for row in rows:
+            if row.inv_k == 0.0:
+                # Degenerate row (e.g. static-static pair): solve_once
+                # bails before projecting, so impulse stays 0 even when
+                # 0 is outside [lo, hi].  Both backends agree on this.
+                assert row.impulse == 0.0
+                continue
+            if row.friction_of is not None:
+                bound = row.friction_coeff * row.friction_of.impulse
+                assert abs(row.impulse) <= bound + 1e-9
+            else:
+                assert row.lo - 1e-12 <= row.impulse <= row.hi + 1e-12
+            assert math.isfinite(row.impulse)
 
 
 # -- cloth --------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Golden-trajectory regression fixtures.
 
 Three Table 3 workloads have their full state trajectories checked in
-under ``tests/fixtures/``.  The test replays each workload under the
+under ``tests/fixtures/``.  The tests replay each workload under the
 session's active backend (``REPRO_BACKEND``; the CI matrix runs both)
-and demands *exact* equality with the fixture — JSON round-trips
-doubles through ``repr``, so equality here is bit-equality.  Any
-change to stepping arithmetic, on either backend, trips these.
+and on the numpy backend once per packed-solve path (the C kernel and
+the scalar fallback), and demand *exact* equality with the fixture —
+JSON round-trips doubles through ``repr``, so equality here is
+bit-equality.  Any change to stepping arithmetic, on either backend,
+trips these.
 
 Regenerate deliberately with::
 
@@ -28,8 +30,9 @@ FRAMES = 8
 SCALE = 0.03
 
 
-def _record(name):
-    world, driver = BENCHMARKS[name].build(scale=SCALE, seed=0)
+def _record(name, backend=None):
+    world, driver = BENCHMARKS[name].build(scale=SCALE, seed=0,
+                                           backend=backend)
     return TrajectoryRecorder(world).record(FRAMES, driver)
 
 
@@ -57,7 +60,23 @@ def test_golden_trajectory(name, request):
         pytest.skip(f"regenerated {path}")
     assert os.path.exists(path), (
         f"missing fixture {path}; run pytest --regen-golden")
-    golden = TrajectoryRecorder.load_json(path)
+    _assert_matches_fixture(name, rec)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+@pytest.mark.parametrize("path", ("native", "fallback"))
+def test_golden_trajectory_numpy(path, name, pgs_path):
+    """The numpy backend reaches the packed solve whatever
+    ``REPRO_BACKEND`` says, so the scalar CI job checks both its paths
+    against the fixtures too."""
+    with pgs_path(path):
+        rec = _record(name, backend="numpy")
+    _assert_matches_fixture(name, rec)
+
+
+def _assert_matches_fixture(name, rec):
+    golden = TrajectoryRecorder.load_json(
+        os.path.join(FIXTURES, f"{name}.json"))
     got = _normalized([[list(state) for state in frame]
                        for frame in rec.frames])
     assert golden["frames"] == len(rec.frames)
