@@ -33,7 +33,7 @@ def main():
         speed=35.0, period_steps=20, explosive=True,
     )
 
-    car = scenes.make_car(world, Vec3(6, 0, 14), heading=0.0, simple=True)
+    car = scenes.make_car(world, Vec3(6, 0, 14), heading=0.0)
     for body in car.all_bodies():
         body.linear_velocity = Vec3(0, 0, -25.0)
     car.set_throttle(-40.0)

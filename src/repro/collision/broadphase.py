@@ -66,13 +66,13 @@ class BruteForceBroadphase(_StatsMixin):
 
 
 class SweepAndPrune(_StatsMixin):
-    """Incremental single-axis sweep-and-prune (sorted on x)."""
+    """Incremental single-axis sweep-and-prune: geoms sorted and swept
+    on x, candidates filtered by y/z overlap."""
 
     name = "sap"
 
-    def __init__(self, axis: int = 0):
-        self.axis = axis
-        self._order = []  # geoms, kept sorted by aabb.min[axis]
+    def __init__(self):
+        self._order = []  # geoms, kept sorted by aabb.min.x
         self.tests = 0
         self.swaps = 0
 
@@ -85,12 +85,11 @@ class SweepAndPrune(_StatsMixin):
             if g.uid not in known:
                 order.append(g)
 
-        axis = self.axis
         boxes = {g.uid: g.aabb() for g in order}
 
         # Insertion sort: near-sorted from the previous frame.
         swaps = 0
-        keys = {g.uid: boxes[g.uid].min[axis] for g in order}
+        keys = {g.uid: boxes[g.uid].min.x for g in order}
         for i in range(1, len(order)):
             g = order[i]
             k = keys[g.uid]
@@ -109,9 +108,9 @@ class SweepAndPrune(_StatsMixin):
         active = []
         for g in order:
             box = boxes[g.uid]
-            lo = box.min[axis]
+            lo = box.min.x
             active = [(other, obox) for other, obox in active
-                      if obox.max[axis] >= lo]
+                      if obox.max.x >= lo]
             for other, obox in active:
                 if g.is_static and other.is_static:
                     continue

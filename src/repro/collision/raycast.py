@@ -1,9 +1,9 @@
-"""Ray tests the CCD sweeps clamp with.
+"""Ray tests the CCD sweep clamps with.
 
-``collision.ccd.sweep_clamp`` and its batched twin in ``fastpath.ccd``
-cast a fast mover's motion against planes, heightfields and inflated
-AABBs. Rays are parameterized as ``origin + t * direction`` with ``t``
-in world units when ``direction`` is normalized.
+``collision.ccd.sweep_clamp``, which both backends call, casts a fast
+mover's motion against planes, heightfields and inflated AABBs. Rays
+are parameterized as ``origin + t * direction`` with ``t`` in world
+units when ``direction`` is normalized.
 """
 
 from __future__ import annotations

@@ -147,8 +147,6 @@ class World:
         # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_island_residuals = []  # [(residual, [body uids])]
         # pax: ignore[PAX201]: per-step watchdog scratch (see above)
-        self.last_solver_residual = 0.0
-        # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_blast_bodies = 0  # bodies pushed by explosions
 
     # -- construction ---------------------------------------------------
@@ -411,7 +409,6 @@ class World:
         solved = iter(stats_list)
         new_cache = {}
         residuals = self.last_island_residuals = []
-        worst = 0.0
         bodies, row_counts, uid_lists, costs = [], [], [], []
         rows = row_updates = 0
         for island in islands:
@@ -419,8 +416,6 @@ class World:
                      else unconstrained)
             uids = [b.uid for b in island.bodies]
             residuals.append((stats.residual, uids))
-            if stats.residual > worst:
-                worst = stats.residual
             for joint in island.joints:
                 joint.end_step(dt)
             for cj in island.contact_joints:
@@ -434,7 +429,6 @@ class World:
                 stats.rows, stats.row_updates, len(uids)))
             rows += stats.rows
             row_updates += stats.row_updates
-        self.last_solver_residual = worst
         self._impulse_cache = new_cache
         self.kernels.integrate(self, bodies, dt)
         report.count("island_processing", rows=rows,

@@ -1,17 +1,16 @@
 """Vectorized sweep-and-prune with the scalar SAP's exact semantics.
 
 The scalar :class:`~repro.collision.broadphase.SweepAndPrune` keeps the
-geom list sorted by ``aabb.min[axis]`` across frames and sweeps an
-active interval list.  Here the near-sorted maintenance uses a stable
+geom list sorted by ``aabb.min.x`` across frames and sweeps an active
+interval list.  Here the near-sorted maintenance uses a stable
 argsort (same resulting order as a stable insertion sort), the sweep
 becomes one ``searchsorted`` over the sorted interval starts, and the
 candidate expansion plus y/z overlap filter run as flat array ops.  The
 emitted pair list — and the ``tests`` / ``swaps`` counters feeding the
 instruction model — are identical to the scalar strategy's.
 
-The bounds come from :func:`fill_aabbs`, which the vectorized CCD sweep
-shares: sphere and box AABBs in array form, the unbounded plane and
-heightfield ones from the scalar shapes.
+The bounds come from :func:`fill_aabbs`: sphere and box AABBs in array
+form, the unbounded plane and heightfield ones from the scalar shapes.
 """
 
 from __future__ import annotations
@@ -120,12 +119,12 @@ def _inversion_count(keys) -> int:
 
 
 class VectorSweepAndPrune(_StatsMixin):
-    """Drop-in for ``SweepAndPrune`` with vectorized sweep."""
+    """Drop-in for ``SweepAndPrune`` with vectorized sweep (x sorted,
+    y/z filtered)."""
 
     name = "sap"
 
-    def __init__(self, axis: int = 0):
-        self.axis = axis
+    def __init__(self):
         self._order = []
         self.tests = 0
         self.swaps = 0
@@ -148,12 +147,11 @@ class VectorSweepAndPrune(_StatsMixin):
             self.last_order = []
             return []
 
-        axis = self.axis
         mins = np.empty((n, 3), dtype=np.float64)
         maxs = np.empty((n, 3), dtype=np.float64)
         fill_aabbs(order, mins, maxs)
 
-        keys = mins[:, axis]
+        keys = mins[:, 0]
         # Coherent frames usually arrive already sorted; a sorted key
         # sequence has zero inversions and a stable argsort of it is
         # the identity, so the Fenwick count and the permutation
@@ -167,8 +165,8 @@ class VectorSweepAndPrune(_StatsMixin):
             mins = mins[perm]
             maxs = maxs[perm]
         self._order = order
-        smin = mins[:, axis]
-        smax = maxs[:, axis]
+        smin = mins[:, 0]
+        smax = maxs[:, 0]
 
         # For sorted entry i, every j in (i, hi[i]) satisfies
         # smin[j] <= smax[i] — the scalar sweep's closed-interval

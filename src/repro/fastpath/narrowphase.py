@@ -1,12 +1,14 @@
 """Vectorized narrowphase pair tests (bit-identical to the scalar ones).
 
 ``collide_pairs`` replaces the world's per-pair phase-2 loop for
-``backend="numpy"``: candidate pairs are grouped by shape-kind, the hot
-kinds (sphere/sphere, sphere/plane, sphere/box, box/plane) run as batch
-NumPy kernels restating the scalar formulas component-by-component, and
-the remaining kinds fall back to the scalar routines — box/box through
-a per-step memo of world transforms, axes, and corners (pure functions
-of pose, so memoization cannot change a single bit).
+``backend="numpy"``: candidate pairs are grouped by shape-kind, and the
+three kinds the benchmark workloads reach run as batch kernels.
+Sphere/plane and box/plane restate the scalar formulas
+component-by-component in NumPy; box/box runs a vectorized SAT
+prefilter, then the scalar routine on the survivors through a per-step
+memo of world transforms, axes, and corners (pure functions of pose, so
+memoization cannot change a single bit).  Every other kind goes through
+the scalar ``collide``.
 
 Contacts come out in the scalar loop's exact order: pair order is
 preserved, and within a pair the kernel emits points in the same order
@@ -24,20 +26,6 @@ from ..collision.narrowphase import (
 )
 from ..engine.scalar import narrowphase as run_narrowphase
 from ..math3d import Vec3
-
-_BATCH_KINDS = {
-    ("sphere", "sphere"),
-    ("sphere", "plane"),
-    ("sphere", "box"),
-    ("box", "plane"),
-    ("box", "box"),
-}
-
-# Smallest group worth the array kernels' fixed dispatch cost; smaller
-# groups run the scalar routines the kernels restate.  Box-box always
-# batches — its vectorized SAT prefilter beats the scalar test at any
-# size.
-_BATCH_MIN = 4
 
 
 def _rotate(w, x, y, z, vx, vy, vz):
@@ -248,49 +236,8 @@ def _batch_box_box(cache, items):
 
 
 # ---------------------------------------------------------------------------
-# batch kernels — each takes the group's (sphere_geom, other_geom) pairs
-# in *canonical* (dispatch) order and returns one contact list per pair.
-
-
-def _batch_sphere_sphere(cache, items):
-    m = len(items)
-    pa = np.empty((m, 3))
-    pb = np.empty((m, 3))
-    ra = np.empty(m)
-    rb = np.empty(m)
-    for i, (ga, gb) in enumerate(items):
-        a = cache.transform(ga).position
-        b = cache.transform(gb).position
-        pa[i] = (a.x, a.y, a.z)
-        pb[i] = (b.x, b.y, b.z)
-        ra[i] = ga.shape.radius
-        rb[i] = gb.shape.radius
-    dx = pa[:, 0] - pb[:, 0]
-    dy = pa[:, 1] - pb[:, 1]
-    dz = pa[:, 2] - pb[:, 2]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        depth = ra + rb - dist
-        emit = ~(depth < -CONTACT_MARGIN)
-        near = dist > 1e-9
-        inv = 1.0 / np.where(near, dist, 1.0)
-        nx = np.where(near, dx * inv, 0.0)
-        ny = np.where(near, dy * inv, 1.0)
-        nz = np.where(near, dz * inv, 0.0)
-        s = rb - 0.5 * depth
-        px = pb[:, 0] + nx * s
-        py = pb[:, 1] + ny * s
-        pz = pb[:, 2] + nz * s
-        dep = np.maximum(0.0, depth)
-    out = []
-    for i, (ga, gb) in enumerate(items):
-        if emit[i]:
-            out.append([Contact(
-                ga, gb, Vec3(px[i], py[i], pz[i]),
-                Vec3(nx[i], ny[i], nz[i]), float(dep[i]))])
-        else:
-            out.append([])
-    return out
+# batch kernels — each takes the group's geom pairs in *canonical*
+# (dispatch) order and returns one contact list per pair.
 
 
 def _batch_sphere_plane(cache, items):
@@ -320,78 +267,6 @@ def _batch_sphere_plane(cache, items):
         if emit[i]:
             out.append([Contact(ga, gb, Vec3(px[i], py[i], pz[i]),
                                 gb.shape.normal, float(dep[i]))])
-        else:
-            out.append([])
-    return out
-
-
-def _batch_sphere_box(cache, items):
-    m = len(items)
-    cw = np.empty((m, 3))   # sphere center, world
-    bp = np.empty((m, 3))   # box position
-    q = np.empty((m, 4))    # box orientation (w, x, y, z)
-    h = np.empty((m, 3))
-    r = np.empty(m)
-    for i, (ga, gb) in enumerate(items):
-        p = cache.transform(ga).position
-        cw[i] = (p.x, p.y, p.z)
-        tf = cache.transform(gb)
-        bp[i] = (tf.position.x, tf.position.y, tf.position.z)
-        qq = tf.orientation
-        q[i] = (qq.w, qq.x, qq.y, qq.z)
-        hh = gb.shape.half_extents
-        h[i] = (hh.x, hh.y, hh.z)
-        r[i] = ga.shape.radius
-    w, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        # apply_inverse: rotate (center - box_pos) by the conjugate.
-        dx = cw[:, 0] - bp[:, 0]
-        dy = cw[:, 1] - bp[:, 1]
-        dz = cw[:, 2] - bp[:, 2]
-        lx, ly, lz = _rotate(w, -qx, -qy, -qz, dx, dy, dz)
-        hx, hy, hz = h[:, 0], h[:, 1], h[:, 2]
-        clx = np.minimum(np.maximum(lx, -hx), hx)
-        cly = np.minimum(np.maximum(ly, -hy), hy)
-        clz = np.minimum(np.maximum(lz, -hz), hz)
-        ddx, ddy, ddz = lx - clx, ly - cly, lz - clz
-        dist_sq = ddx * ddx + ddy * ddy + ddz * ddz
-        outside = dist_sq > 1e-18
-        # outside: exit through the clamped point
-        dist = np.sqrt(np.where(outside, dist_sq, 1.0))
-        depth_out = r - dist
-        inv = 1.0 / dist
-        nox, noy, noz = ddx * inv, ddy * inv, ddz * inv
-        # inside: exit through the nearest face
-        gx = hx - np.abs(lx)
-        gy = hy - np.abs(ly)
-        gz = hz - np.abs(lz)
-        gaps = np.stack((gx, gy, gz))
-        axis = np.argmin(gaps, axis=0)
-        gap = gaps[axis, np.arange(m)]
-        depth_in = r + gap
-        nix = np.where(axis == 0, np.where(lx >= 0, 1.0, -1.0), 0.0)
-        niy = np.where(axis == 1, np.where(ly >= 0, 1.0, -1.0), 0.0)
-        niz = np.where(axis == 2, np.where(lz >= 0, 1.0, -1.0), 0.0)
-        depth = np.where(outside, depth_out, depth_in)
-        emit = np.where(outside, ~(depth_out < -CONTACT_MARGIN), True)
-        nlx = np.where(outside, nox, nix)
-        nly = np.where(outside, noy, niy)
-        nlz = np.where(outside, noz, niz)
-        plx = np.where(outside, clx, lx)
-        ply = np.where(outside, cly, ly)
-        plz = np.where(outside, clz, lz)
-        nwx, nwy, nwz = _rotate(w, qx, qy, qz, nlx, nly, nlz)
-        rx, ry, rz = _rotate(w, qx, qy, qz, plx, ply, plz)
-        px = rx + bp[:, 0]
-        py = ry + bp[:, 1]
-        pz = rz + bp[:, 2]
-        dep = np.maximum(0.0, depth)
-    out = []
-    for i, (ga, gb) in enumerate(items):
-        if emit[i]:
-            out.append([Contact(
-                ga, gb, Vec3(px[i], py[i], pz[i]),
-                Vec3(nwx[i], nwy[i], nwz[i]), float(dep[i]))])
         else:
             out.append([])
     return out
@@ -449,17 +324,15 @@ def _batch_box_plane(cache, items):
 
 
 _BATCH_FN = {
-    ("sphere", "sphere"): _batch_sphere_sphere,
     ("sphere", "plane"): _batch_sphere_plane,
-    ("sphere", "box"): _batch_sphere_box,
     ("box", "plane"): _batch_box_plane,
     ("box", "box"): _batch_box_box,
 }
 
 
 def _test_batched(filtered):
-    """One contact list per pair, in pair order: hot shape-kind groups
-    through the array kernels, the rest through the scalar routines."""
+    """One contact list per pair, in pair order: batched shape-kind
+    groups through their kernels, the rest through ``collide``."""
     cache = _Cache()
 
     # Group by canonical dispatch kind; remember how to map back.
@@ -467,9 +340,9 @@ def _test_batched(filtered):
     groups = {}
     for idx, (ga, gb) in enumerate(filtered):
         ka, kb = ga.shape.kind, gb.shape.kind
-        if (ka, kb) in _BATCH_KINDS:
+        if (ka, kb) in _BATCH_FN:
             key, item, flipped = (ka, kb), (ga, gb), False
-        elif (kb, ka) in _BATCH_KINDS:
+        elif (kb, ka) in _BATCH_FN:
             key, item, flipped = (kb, ka), (gb, ga), True
         else:
             continue
@@ -477,14 +350,8 @@ def _test_batched(filtered):
         plan[idx] = (key, len(bucket), flipped)
         bucket.append(item)
 
-    # Array dispatch has a fixed per-kernel cost; below a few pairs the
-    # scalar routines (the very ones the kernels restate) are cheaper.
-    results = {}
-    for key, items in groups.items():
-        if len(items) >= _BATCH_MIN or key == ("box", "box"):
-            results[key] = _BATCH_FN[key](cache, items)
-        else:
-            results[key] = [collide(ga, gb) for ga, gb in items]
+    results = {key: _BATCH_FN[key](cache, items)
+               for key, items in groups.items()}
 
     found_per_pair = []
     for (ga, gb), p in zip(filtered, plan):

@@ -205,11 +205,9 @@ class Car:
         return self.chassis.linear_velocity.length()
 
 
-def make_car(world, base: Vec3, heading: float = 0.0,
-             simple: bool = False) -> Car:
+def make_car(world, base: Vec3, heading: float = 0.0) -> Car:
     """A car resting on ``base`` pointing along its local +z rotated by
-    ``heading`` around y. ``simple`` skips wheel detailing used by
-    bigger scenes (kept for API compatibility; same rig)."""
+    ``heading`` around y."""
     q = Quaternion.from_axis_angle(Vec3(0, 1, 0), heading)
     wheel_r = 0.35
     chassis_half = Vec3(0.70, 0.22, 1.30)
@@ -238,11 +236,6 @@ def make_car(world, base: Vec3, heading: float = 0.0,
         world.add_joint(axle)
         wheels.append(wheel)
         axles.append(axle)
-
-    if not simple:
-        # A low ballast keeps the center of mass under the axle line so
-        # the car corners without rolling.
-        chassis.gravity_scale = 1.0
     return Car(chassis, wheels, axles)
 
 

@@ -1,10 +1,11 @@
 """Hypothesis property tests for the fastpath kernels.
 
 Randomized agreement checks between the vectorized kernels and their
-scalar oracles: SAP pair sets against brute force, PGS impulses and
-stats against the scalar solver, cloth relaxation against the
-reference ``Cloth``.  Marked ``property`` so the fast tier-1 run can
-exclude them (``-m "not property"``); CI runs them in their own step.
+scalar oracles: SAP pair sets against brute force, batched pair tests
+against ``collide``, PGS impulses and stats against the scalar solver,
+cloth relaxation against the reference ``Cloth``.  Marked ``property``
+so the fast tier-1 run can exclude them (``-m "not property"``); CI
+runs them in their own step.
 """
 
 import math
@@ -18,14 +19,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cloth import Cloth
-from repro.collision import BruteForceBroadphase, Geom, SweepAndPrune
+from repro.collision import (BruteForceBroadphase, Geom, SweepAndPrune,
+                             collide)
 from repro.dynamics import Body
 from repro.dynamics.solver import Row, solve_island
 from repro.fastpath import cloth as fp_cloth
 from repro.fastpath.broadphase import VectorSweepAndPrune
+from repro.fastpath.narrowphase import _test_batched
 from repro.fastpath.solver import solve_islands
-from repro.geometry import Sphere
-from repro.math3d import Vec3
+from repro.geometry import Box, Plane, Sphere
+from repro.math3d import Quaternion, Vec3
 
 pytestmark = pytest.mark.property
 
@@ -74,6 +77,57 @@ def test_sap_pairs_match_brute_force(specs, moves):
         # Second frame exercises the incremental near-sorted path.
         for g, (dx, dy, dz) in zip(geoms, moves):
             g.body.position += Vec3(dx * 0.1, dy * 0.1, dz * 0.1)
+
+
+# -- narrowphase --------------------------------------------------------
+
+_BATCHED_KINDS = (("sphere", "plane"), ("box", "plane"), ("box", "box"))
+
+
+def _random_geom(rng, kind):
+    """A plane near y = 0, or a sphere/box posed around it, so a group
+    mixes touching, deep and separated pairs."""
+    if kind == "plane":
+        normal = Vec3(rng.uniform(-0.4, 0.4), 1.0, rng.uniform(-0.4, 0.4))
+        return Geom(Plane(normal, rng.uniform(-0.3, 0.3)))
+    axis = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.1, 1))
+    body = Body(position=Vec3(rng.uniform(-1.2, 1.2), rng.uniform(-0.6, 1.4),
+                              rng.uniform(-1.2, 1.2)),
+                orientation=Quaternion.from_axis_angle(
+                    axis, rng.uniform(-math.pi, math.pi)))
+    if kind == "sphere":
+        shape = Sphere(rng.uniform(0.2, 1.0))
+    else:
+        shape = Box(Vec3(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
+                         rng.uniform(0.2, 0.8)))
+    return Geom(shape, body=body)
+
+
+def _contact_bits(contacts):
+    return [(c.geom_a.uid, c.geom_b.uid, c.feature)
+            + tuple(float.hex(x) for x in (
+                c.position.x, c.position.y, c.position.z,
+                c.normal.x, c.normal.y, c.normal.z, c.depth))
+            for c in contacts]
+
+
+@RELAXED
+@given(seed=st.integers(0, 2**31 - 1),
+       sizes=st.tuples(*[st.integers(1, 6)] * len(_BATCHED_KINDS)))
+def test_batched_pair_tests_match_collide(seed, sizes):
+    """Every pair of a batched kind, in groups of 1-6 and in either
+    argument order, gets ``collide``'s contact list: same contacts in
+    the same order, floats equal to the last bit."""
+    rng = random.Random(seed)
+    pairs = []
+    for (ka, kb), n in zip(_BATCHED_KINDS, sizes):
+        for _ in range(n):
+            pair = (_random_geom(rng, ka), _random_geom(rng, kb))
+            pairs.append(pair[::-1] if rng.random() < 0.5 else pair)
+    rng.shuffle(pairs)
+    got = [_contact_bits(found) for found in _test_batched(pairs)]
+    want = [_contact_bits(collide(ga, gb)) for ga, gb in pairs]
+    assert got == want
 
 
 # -- PGS solver ---------------------------------------------------------
