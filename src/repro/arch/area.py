@@ -13,7 +13,6 @@ __all__ = [
     "PAPER_POOL_CORES",
     "area_mm2",
     "fg_pool_area",
-    "pool_cores_for_budget",
 ]
 
 PER_CORE_MM2 = {
@@ -44,10 +43,3 @@ def fg_pool_area(design: str, cores: int) -> float:
     """Total FG pool area: cores + routers + arbiter."""
     return (area_mm2(design, cores)
             + ROUTER_MM2_PER_CORE * cores + ARBITER_MM2)
-
-
-def pool_cores_for_budget(design: str, budget_mm2: float) -> int:
-    """Largest pool that fits the area budget."""
-    per_core = PER_CORE_MM2[_core_key(design)] + ROUTER_MM2_PER_CORE
-    cores = int((budget_mm2 - ARBITER_MM2) / per_core)
-    return max(0, cores)

@@ -20,7 +20,6 @@ __all__ = [
     "transfer_seconds",
     "paper_example_seconds",
     "frame_budget_fraction",
-    "max_objects_for_budget",
 ]
 
 # Per-entity wire formats: position + orientation (+ flags) for rigid
@@ -59,12 +58,3 @@ def frame_budget_fraction(objects: int, particles: int = 0,
                           cloth_vertices: int = 0,
                           fps: float = 30.0) -> float:
     return transfer_seconds(objects, particles, cloth_vertices) * fps
-
-
-def max_objects_for_budget(budget_fraction: float = 0.1,
-                           fps: float = 30.0) -> int:
-    """Objects transferable within a fraction of the frame budget."""
-    budget_s = budget_fraction / fps - PCIE_LATENCY_SECONDS
-    if budget_s <= 0:
-        return 0
-    return int(budget_s * PCIE_EFFECTIVE_BANDWIDTH / BYTES_PER_OBJECT)

@@ -21,26 +21,13 @@ import numpy as np
 from ..dynamics.joints import FixedJoint, HingeJoint
 from ..dynamics.solver import Row
 from ..math3d import Vec3
-from .rows import _inv_k, _make_row, _vec
+from .rows import _inv_k, _make_row, _orthonormal, _rotate, _vec
 
 _INF = float("inf")
 _ZERO = Vec3()
 _AXES = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
 _NEG_AXES = tuple(-a for a in _AXES)
 _E = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def _rotate(w, x, y, z, vx, vy, vz):
-    """Quaternion.rotate, componentwise (floats or arrays)."""
-    uvx = y * vz - z * vy
-    uvy = z * vx - x * vz
-    uvz = x * vy - y * vx
-    uuvx = y * uvz - z * uvy
-    uuvy = z * uvx - x * uvz
-    uuvz = x * uvy - y * uvx
-    return (vx + (uvx * w + uuvx) * 2.0,
-            vy + (uvy * w + uuvy) * 2.0,
-            vz + (uvz * w + uuvz) * 2.0)
 
 
 def _qmul(aw, ax, ay, az, bw, bx, by, bz):
@@ -58,25 +45,6 @@ def _qnormalized(w, x, y, z):
     inv = np.where(small, 0.0, 1.0 / n)
     return (np.where(small, 1.0, w * inv), np.where(small, 0.0, x * inv),
             np.where(small, 0.0, y * inv), np.where(small, 0.0, z * inv))
-
-
-def _orthonormal(nx, ny, nz):
-    """n.any_orthonormal() and n.cross(that), componentwise."""
-    use_x = np.abs(nx) < 0.57735
-    bx = np.where(use_x, 1.0, 0.0)
-    by = np.where(use_x, 0.0, 1.0)
-    cx = ny * 0.0 - nz * by
-    cy = nz * bx - nx * 0.0
-    cz = nx * by - ny * bx
-    cl = np.sqrt((cx * cx + cy * cy) + cz * cz)
-    inv_cl = np.where(cl < 1e-12, 0.0, 1.0 / cl)
-    px = np.where(cl < 1e-12, 0.0, cx * inv_cl)
-    py = np.where(cl < 1e-12, 0.0, cy * inv_cl)
-    pz = np.where(cl < 1e-12, 0.0, cz * inv_cl)
-    qx = ny * pz - nz * py
-    qy = nz * px - nx * pz
-    qz = nx * py - ny * px
-    return px, py, pz, qx, qy, qz
 
 
 class _Bodies:

@@ -29,6 +29,38 @@ _REST_THRESHOLD = ContactJoint.RESTITUTION_THRESHOLD
 _INF = float("inf")
 
 
+def _rotate(w, x, y, z, vx, vy, vz):
+    """Quaternion.rotate, componentwise (floats or arrays)."""
+    uvx = y * vz - z * vy
+    uvy = z * vx - x * vz
+    uvz = x * vy - y * vx
+    uuvx = y * uvz - z * uvy
+    uuvy = z * uvx - x * uvz
+    uuvz = x * uvy - y * uvx
+    return (vx + (uvx * w + uuvx) * 2.0,
+            vy + (uvy * w + uuvy) * 2.0,
+            vz + (uvz * w + uuvz) * 2.0)
+
+
+def _orthonormal(nx, ny, nz):
+    """n.any_orthonormal() and n.cross(that), componentwise."""
+    use_x = np.abs(nx) < 0.57735
+    bx = np.where(use_x, 1.0, 0.0)
+    by = np.where(use_x, 0.0, 1.0)
+    cx = ny * 0.0 - nz * by
+    cy = nz * bx - nx * 0.0
+    cz = nx * by - ny * bx
+    cl = np.sqrt((cx * cx + cy * cy) + cz * cz)
+    inv_cl = np.where(cl < 1e-12, 0.0, 1.0 / cl)
+    px = np.where(cl < 1e-12, 0.0, cx * inv_cl)
+    py = np.where(cl < 1e-12, 0.0, cy * inv_cl)
+    pz = np.where(cl < 1e-12, 0.0, cz * inv_cl)
+    qx = ny * pz - nz * py
+    qy = nz * px - nx * pz
+    qz = nx * py - ny * px
+    return px, py, pz, qx, qy, qz
+
+
 def _quad_form(wx, wy, wz, im):
     """``w.dot(I_world * w)`` with Mat3.__mul__'s row sums."""
     c0 = im[:, 0] * wx + im[:, 1] * wy + im[:, 2] * wz
@@ -202,20 +234,7 @@ def build_contact_rows(contact_joints, dt, erp, cache):
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # Friction frame: t1 = n.any_orthonormal(), t2 = n x t1.
-        use_x = np.abs(nx) < 0.57735
-        bx = np.where(use_x, 1.0, 0.0)
-        by = np.where(use_x, 0.0, 1.0)
-        cx = ny * 0.0 - nz * by
-        cy = nz * bx - nx * 0.0
-        cz = nx * by - ny * bx
-        cl = np.sqrt((cx * cx + cy * cy) + cz * cz)
-        inv_cl = np.where(cl < 1e-12, 0.0, 1.0 / cl)
-        t1x = np.where(cl < 1e-12, 0.0, cx * inv_cl)
-        t1y = np.where(cl < 1e-12, 0.0, cy * inv_cl)
-        t1z = np.where(cl < 1e-12, 0.0, cz * inv_cl)
-        t2x = ny * t1z - nz * t1y
-        t2y = nz * t1x - nx * t1z
-        t2z = nx * t1y - ny * t1x
+        t1x, t1y, t1z, t2x, t2y, t2z = _orthonormal(nx, ny, nz)
 
         beta = erp / dt
         slop = np.where(depth - _SLOP > 0.0, depth - _SLOP, 0.0)

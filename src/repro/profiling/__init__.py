@@ -29,7 +29,6 @@ from .tasks import (
     cg_speedup,
     phase_cg_speedup,
     phase_schedule_length,
-    speedup_curve,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "task_cost_cloth",
     "cg_speedup",
     "phase_schedule_length",
-    "speedup_curve",
 ]

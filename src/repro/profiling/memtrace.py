@@ -12,7 +12,7 @@ cloth vertices stream 48 B (position + previous position) each.
 
 from __future__ import annotations
 
-from .report import ISLAND_SWEEPS, PARALLEL_PHASES, PHASES, TouchGroup
+from .report import ISLAND_SWEEPS, PHASES, TouchGroup
 
 BLOCK = 64
 
@@ -100,30 +100,3 @@ def expand(report, phases=None):
         for _ in range(group.repeat):
             for block in blocks:
                 yield block, phase, group.writes
-
-
-def interleaved(report, threads: int, chunk: int = 32):
-    """Round-robin interleave the parallel-phase streams of ``threads``
-    workers, ``chunk`` accesses at a time — the multi-core L2 traffic of
-    Fig. 6. Serial phases stay on thread 0."""
-    streams = [[] for _ in range(threads)]
-    turn = 0
-    for phase, group in step_groups(report):
-        blocks = group_blocks(group) * group.repeat
-        if phase in PARALLEL_PHASES and threads > 1:
-            streams[turn].extend((b, phase) for b in blocks)
-            turn = (turn + 1) % threads
-        else:
-            streams[0].extend((b, phase) for b in blocks)
-    cursors = [0] * threads
-    out = []
-    while True:
-        progressed = False
-        for t in range(threads):
-            lo = cursors[t]
-            if lo < len(streams[t]):
-                out.extend(streams[t][lo:lo + chunk])
-                cursors[t] = lo + chunk
-                progressed = True
-        if not progressed:
-            return out

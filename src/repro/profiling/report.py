@@ -54,16 +54,6 @@ class TouchGroup:
 class PhaseCounters(dict):
     """Counter dict that reads absent keys as zero."""
 
-    # Per-step CG task-cost lists, attached by FrameReport.__getitem__
-    # so architecture models can ask a phase view for its task trace.
-    _step_tasks = None
-
-    def per_step_cg_tasks(self):
-        """Task costs bucketed by sub-step: ``[[cost, ...], ...]``."""
-        if not self._step_tasks:
-            return []
-        return [list(ts) for ts in self._step_tasks]
-
     def get(self, key, default=0.0):
         return dict.get(self, key, default)
 
@@ -101,9 +91,7 @@ class FrameReport:
         self.health = None
 
     def __getitem__(self, phase: str) -> PhaseCounters:
-        counters = self.phases[phase]
-        counters._step_tasks = self.step_tasks.get(phase)
-        return counters
+        return self.phases[phase]
 
     def __contains__(self, phase: str) -> bool:
         return phase in self.phases

@@ -74,7 +74,3 @@ def cg_speedup(report, cores: int) -> float:
     if sched <= 0.0:
         return 1.0
     return one_core / sched
-
-
-def speedup_curve(report, core_counts=(1, 2, 4, 8, 16, 32)):
-    return {n: cg_speedup(report, n) for n in core_counts}

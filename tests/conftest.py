@@ -55,12 +55,18 @@ def pgs_path():
     kernel (``"native"``) or on the scalar oracle the loader falls back
     to (``"fallback"``).  Session-scoped and self-restoring, so
     Hypothesis tests can take it; tests loop or parametrise over both
-    paths, so every tier-1 run covers each."""
+    paths, so every tier-1 run covers each.  ``"native"`` fails unless
+    the C kernel is loaded: otherwise both halves would run the
+    fallback and hold the oracle to itself."""
     from repro.fastpath import solver
 
     @contextlib.contextmanager
     def use(path):
         if path == "native":
+            status = solver.native_status()
+            assert status == "native", (
+                f"the native PGS kernel is not loaded ({status}); the "
+                "'native' path would silently re-run the scalar fallback")
             yield
         else:
             assert path == "fallback", path

@@ -141,8 +141,6 @@ def test_compact_island_record_is_the_per_island_trace():
     assert groups(compact) == groups(per_island)
     assert list(memtrace.expand(compact)) == list(
         memtrace.expand(per_island))
-    assert memtrace.interleaved(compact, 4) == memtrace.interleaved(
-        per_island, 4)
     a = StackDistanceProfile.from_report(compact)
     b = StackDistanceProfile.from_report(per_island)
     assert (a.histograms, a.cold, a.accesses) == (

@@ -4,11 +4,15 @@ The scalar pipeline is the reference implementation; every fastpath
 kernel claims to be a pure restatement of it.  This harness holds the
 kernels to that claim: each Table 3 workload is stepped on both
 backends and the trajectories must agree to the last bit
-(``trajectory_divergence == 0.0``, not merely "close").  The numpy
-side runs once per packed-solve path (the C kernel and the scalar
-fallback), so both are held to the oracle in every run.  Bit-identity
-is what keeps the resilience layer's divergence detection meaningful —
-a tolerance here would become an undetectable drift budget there.
+(``trajectory_divergence == 0.0``, not merely "close").  So must every
+frame's ``FrameReport`` — the counters, task costs and memory-touch
+trace the architecture model and the benchmark's per-layer counters
+read — and the per-island solver residuals, in island order.  The
+numpy side runs once per packed-solve path (the C kernel and the
+scalar fallback), so both are held to the oracle in every run.
+Bit-identity is what keeps the resilience layer's divergence detection
+meaningful — a tolerance here would become an undetectable drift budget
+there.
 """
 
 import os
@@ -17,6 +21,7 @@ import pytest
 
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
 from repro.fastpath import BatchWorld
+from repro.profiling import ISLAND_SWEEPS
 from repro.workloads.benchmarks import BENCHMARKS
 
 # Small scale keeps the eight triple runs affordable; 60 frames is long
@@ -27,41 +32,85 @@ FRAMES = int(os.environ.get("REPRO_DIFF_FRAMES", "60"))
 
 
 def _run(name, backend, frames=FRAMES, scale=SCALE, seed=0):
+    """``(recorder, world, reports)`` of one recorded run, the reports
+    as :func:`_report_key` data."""
     world, driver = BENCHMARKS[name].build(scale=scale, seed=seed,
                                            backend=backend)
     assert world.backend == backend
-    rec = TrajectoryRecorder(world).record(frames, driver)
-    return rec, world
+    rec = TrajectoryRecorder(world)
+    rec.snapshot()
+    reports = []
+    for _ in range(frames):
+        reports.append(world.step_frame(driver))
+        rec.snapshot()
+    return rec, world, [_report_key(world, r) for r in reports]
+
+
+# Body and geom uids are allocated from process-global counters, so two
+# separately built worlds get disjoint uid ranges; compare them as
+# indices into the world's (append-only) body and geom lists.
+def _uid_index(items):
+    return {item.uid: i for i, item in enumerate(items)}
+
+
+def _report_key(world, report):
+    """One frame's report as plain data, uids renumbered to indices."""
+    body = _uid_index(world.bodies)
+    geom = _uid_index(world.geoms)
+    steps = []
+    for step in report.step_touches:
+        touches = []
+        for phase, group in step:
+            if group.kind == ISLAND_SWEEPS:
+                row_counts, uid_lists = group.ids
+                ids = (tuple(row_counts),
+                       tuple(tuple(body[u] for u in uids)
+                             for uids in uid_lists))
+            elif group.kind in ("geom", "endpoint"):
+                ids = tuple(geom[u] for u in group.ids)
+            elif group.kind == "body":
+                ids = tuple(body[u] for u in group.ids)
+            else:
+                ids = tuple(group.ids)
+            touches.append((phase, group.kind, ids, group.repeat,
+                            group.writes))
+        steps.append(touches)
+    return {"summary": report.summary(), "steps": report.steps,
+            "tasks": report.tasks, "step_tasks": report.step_tasks,
+            "step_touches": steps}
 
 
 def _island_key(world):
-    index = {body.uid: i for i, body in enumerate(world.bodies)}
-    return sorted((res, tuple(index[u] for u in uids))
-                  for res, uids in world.last_island_residuals)
+    index = _uid_index(world.bodies)
+    return [(res, tuple(index[u] for u in uids))
+            for res, uids in world.last_island_residuals]
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_backend_trajectories_bit_identical(name, pgs_path):
-    rec_s, world_s = _run(name, "scalar")
+    rec_s, world_s, reports_s = _run(name, "scalar")
     for path in ("native", "fallback"):
         with pgs_path(path):
-            rec_n, world_n = _run(name, "numpy")
+            rec_n, world_n, reports_n = _run(name, "numpy")
         div = trajectory_divergence(rec_s, rec_n)
         assert div == 0.0, f"{name} ({path}): backends diverged by {div}"
         _assert_residuals_match(world_s, world_n)
+        _assert_reports_match(reports_s, reports_n, f"{name} ({path})")
 
 
 def _assert_residuals_match(world_s, world_n):
     # The watchdog's divergence detection keys off solver residuals, so
-    # those must survive the backend swap bit-for-bit too.  Islands may
-    # be *enumerated* in a different order (the batched narrowphase
-    # groups pairs by shape kind before emitting contacts), but the
-    # watchdog folds residuals with a max, so the per-island values as
-    # a multiset are what has to match.
-    # Body uids are allocated from a process-global counter, so two
-    # separately built worlds get disjoint uid ranges; normalize to
-    # body-list indices before comparing island membership.
+    # those must survive the backend swap bit-for-bit too, island by
+    # island in the order the islands were built.
     assert _island_key(world_s) == _island_key(world_n)
+
+
+def _assert_reports_match(reports_s, reports_n, label):
+    assert len(reports_s) == len(reports_n), label
+    for frame, (want, got) in enumerate(zip(reports_s, reports_n)):
+        for field in want:
+            assert got[field] == want[field], (
+                f"{label}: frame {frame} report {field} differs")
 
 
 def _build_fleet(n, backend="numpy", scale=0.03):

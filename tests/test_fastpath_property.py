@@ -25,7 +25,7 @@ from repro.dynamics import Body
 from repro.dynamics.solver import Row, solve_island
 from repro.fastpath import cloth as fp_cloth
 from repro.fastpath.broadphase import VectorSweepAndPrune
-from repro.fastpath.narrowphase import _test_batched
+from repro.fastpath.narrowphase import _BATCH_FN, _test_batched
 from repro.fastpath.solver import solve_islands
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Quaternion, Vec3
@@ -56,8 +56,12 @@ def _make_geoms(specs):
     return geoms
 
 
+def _pair_list(pairs):
+    return [(ga.index, gb.index) for ga, gb in pairs]
+
+
 def _pair_set(pairs):
-    return {tuple(sorted((ga.index, gb.index))) for ga, gb in pairs}
+    return {tuple(sorted(pair)) for pair in pairs}
 
 
 @RELAXED
@@ -66,22 +70,31 @@ def _pair_set(pairs):
                                          min_size=0, max_size=40))
 def test_sap_pairs_match_brute_force(specs, moves):
     """Vectorized SAP emits exactly the brute-force AABB overlap set
-    (minus static-static), including on incremental re-sweeps."""
+    (minus static-static), including on incremental re-sweeps, and it
+    is the scalar SAP frame for frame: the same ordered pair list and
+    the same ``tests``, ``swaps`` and ``last_order`` that feed the
+    instruction model."""
     geoms = _make_geoms(specs)
     fast = VectorSweepAndPrune()
     scalar = SweepAndPrune()
-    for frame in range(2):
-        brute = _pair_set(BruteForceBroadphase().pairs(geoms))
-        assert _pair_set(fast.pairs(geoms)) == brute
-        assert _pair_set(scalar.pairs(geoms)) == brute
-        # Second frame exercises the incremental near-sorted path.
+    for frame in range(3):
+        brute = _pair_set(_pair_list(BruteForceBroadphase().pairs(geoms)))
+        got = _pair_list(fast.pairs(geoms))
+        want = _pair_list(scalar.pairs(geoms))
+        assert _pair_set(want) == brute
+        assert got == want, frame
+        assert (fast.tests, fast.swaps, fast.last_order) == (
+            scalar.tests, scalar.swaps, scalar.last_order), frame
+        # Later frames exercise the incremental near-sorted path.
         for g, (dx, dy, dz) in zip(geoms, moves):
             g.body.position += Vec3(dx * 0.1, dy * 0.1, dz * 0.1)
 
 
 # -- narrowphase --------------------------------------------------------
 
-_BATCHED_KINDS = (("sphere", "plane"), ("box", "plane"), ("box", "box"))
+# The batched kinds, plus box/box, which takes ``collide`` inside
+# ``_test_batched``, so every group is mixed with unbatched pairs.
+_PAIR_KINDS = tuple(_BATCH_FN) + (("box", "box"),)
 
 
 def _random_geom(rng, kind):
@@ -113,14 +126,14 @@ def _contact_bits(contacts):
 
 @RELAXED
 @given(seed=st.integers(0, 2**31 - 1),
-       sizes=st.tuples(*[st.integers(1, 6)] * len(_BATCHED_KINDS)))
+       sizes=st.tuples(*[st.integers(1, 6)] * len(_PAIR_KINDS)))
 def test_batched_pair_tests_match_collide(seed, sizes):
-    """Every pair of a batched kind, in groups of 1-6 and in either
+    """Every pair, batched kind or not, in groups of 1-6 and in either
     argument order, gets ``collide``'s contact list: same contacts in
     the same order, floats equal to the last bit."""
     rng = random.Random(seed)
     pairs = []
-    for (ka, kb), n in zip(_BATCHED_KINDS, sizes):
+    for (ka, kb), n in zip(_PAIR_KINDS, sizes):
         for _ in range(n):
             pair = (_random_geom(rng, ka), _random_geom(rng, kb))
             pairs.append(pair[::-1] if rng.random() < 0.5 else pair)

@@ -215,7 +215,7 @@ def test_fig7a_cg_limit(data, runs):
     measured = runs["deformable"].measured
     biggest_share = max(
         max(ts) / sum(ts)
-        for ts in measured["cloth"].per_step_cg_tasks() if ts)
+        for ts in measured.step_tasks["cloth"] if ts)
     assert phase_cg_speedup(measured, "cloth", 10_000) \
         <= 1.0 / biggest_share + 1e-6
 
