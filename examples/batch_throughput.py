@@ -3,11 +3,12 @@
 
 Builds N independent copies of the ragdoll workload and steps them
 three ways — scalar one-by-one, backend="numpy" one-by-one, and as a
-single :class:`repro.fastpath.BatchWorld` — then prints per-world frame
+single :class:`repro.fastpath.batch.BatchWorld` — then prints per-world frame
 times.  The batch path packs every world's constraint islands into one
-solve call per sub-step, the way a ``repro.serve`` shard steps a
-cohort; the packed rows go through the same C sweep as one world's, so
-packing buys lockstep stepping, not cheaper rows.
+solve call per sub-step; the packed rows go through the same C sweep as
+one world's, so packing buys lockstep stepping, not cheaper rows, and
+nothing else in ``repro`` packs (a ``repro.serve`` shard steps each
+session alone).
 
 Run from the repo root::
 
@@ -18,7 +19,7 @@ import sys
 import time
 
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
-from repro.fastpath import BatchWorld
+from repro.fastpath.batch import BatchWorld
 from repro.workloads import BENCHMARKS
 
 FRAMES = 10

@@ -10,9 +10,8 @@ One spec, one session, one way in:
   driver, ``session.step(n)`` advances rendered frames,
   ``session.checkpoint()`` / ``Session.restore(payload)`` round-trip
   the full state through JSON — the live-migration primitive.
-* :class:`SessionGroup` — a dynamic fleet of sessions, and the one
-  rule for which of them share a packed
-  :class:`~repro.fastpath.BatchWorld` solve.
+* :class:`SessionGroup` — a dynamic fleet of sessions, stepped
+  frame-major, each member through its own :meth:`Session.step`.
 * :func:`run_scenario` — the harness entrypoint: run a spec for some
   frames and wrap the result as a ``BenchmarkRun``.
 
@@ -31,7 +30,7 @@ import hashlib
 from .collision import Geom
 from .dynamics import Body
 from .engine import WorldConfig
-from .fastpath import BatchWorld, cohort_key, resolve_backend
+from .fastpath import resolve_backend
 
 __all__ = ["SessionSpec", "Session", "SessionGroup", "UidScope",
            "run_scenario"]
@@ -288,12 +287,6 @@ class Session:
                       injector=injector)
         session._uid_base = uid_base
         if passthrough:
-            # Keep the scope's counters trailing the globals so a
-            # passthrough session dropped into a SessionGroup (whose
-            # lockstep frame installs each member's scope around its
-            # tick) continues from the right uids.
-            scope.body_next = Body._next_uid
-            scope.geom_next = Geom._next_uid
             session._installed = contextlib.nullcontext
         return session
 
@@ -385,16 +378,13 @@ class Session:
 
 
 class SessionGroup:
-    """A dynamic fleet of sessions, packed wherever packing is exact.
+    """A dynamic fleet of sessions that step together.
 
-    The one packing rule (:meth:`cohorts`): unguarded sessions sharing a
-    kernel set, ``solver_iterations`` and ``substeps_per_frame`` form a
-    cohort and step through one :class:`~repro.fastpath.BatchWorld`
-    solve; a guarded (watchdog) session — its rollback/retry loop
-    cannot be hoisted across worlds — or a session alone in its cohort
-    steps through :meth:`Session.step`. Cohorts are re-derived every
-    frame, so sessions join and leave between frames (``add`` /
-    ``remove``) exactly; both paths are bit-identical to solo stepping.
+    ``step`` is frame-major: every member advances one rendered frame,
+    in join order, through its own :meth:`Session.step` before any
+    member starts the next, so each member lands on its solo twin's
+    digest, guarded or not. Sessions join and leave between frames
+    (``add`` / ``remove``).
     """
 
     def __init__(self, sessions=()):
@@ -418,50 +408,11 @@ class SessionGroup:
         self.sessions.remove(session)
         return session
 
-    def cohorts(self):
-        """The members as lists that step together, in join order."""
-        cohorts, shared = [], {}
-        for session in self.sessions:
-            if session._guard is not None:
-                cohorts.append([session])
-                continue
-            key = cohort_key(session.world)
-            if key not in shared:
-                shared[key] = []
-                cohorts.append(shared[key])
-            shared[key].append(session)
-        return cohorts
-
     def step(self, frames: int = 1):
         """Advance every member session ``frames`` rendered frames."""
         for _ in range(frames):
-            for cohort in self.cohorts():
-                self.step_cohort(cohort)
-
-    @staticmethod
-    def step_cohort(cohort):
-        """One rendered frame for one of :meth:`cohorts`' lists."""
-        if len(cohort) == 1:
-            cohort[0].step(1)
-            return
-        # The lockstep frame runs under *no* scope: each session's
-        # driver installs its own scope around its tick (pure stepping
-        # never draws uids), so per-world work interleaves without uid
-        # crosstalk.
-        reports = BatchWorld(s.world for s in cohort).step_frame(
-            [SessionGroup._scoped_driver(s) for s in cohort])
-        for session, report in zip(cohort, reports):
-            session.reports.append(report)
-
-    @staticmethod
-    def _scoped_driver(session: Session):
-        if session._driver is None:
-            return None
-
-        def drive():
-            with session._installed():
-                session._driver()
-        return drive
+            for session in self.sessions:
+                session.step(1)
 
 
 def run_scenario(spec, frames: int = 5, measure_from: int = None):

@@ -264,8 +264,8 @@ class World:
     def step(self):
         """Advance one ``dt`` sub-step through the five-phase pipeline.
 
-        Three stages, so :class:`~repro.fastpath.BatchWorld` can run
-        the same calls over many worlds around one packed solve:
+        Three stages, so the packed fleet in ``repro.fastpath.batch``
+        can run the same calls over many worlds around one packed solve:
         ``_prepare_step`` (pre-phase through constraint-row setup), the
         kernel set's ``solve`` over every island's rows, ``_finish_step``
         (integration, cloth, clocks).  Stage boundaries only hoist work

@@ -38,12 +38,9 @@ def resolve_backend(backend=None) -> str:
 
 
 from .solver import solve_islands  # noqa: E402
-from .batch import BatchWorld, cohort_key  # noqa: E402
 
 __all__ = [
     "BACKENDS",
-    "BatchWorld",
-    "cohort_key",
     "resolve_backend",
     "solve_islands",
 ]

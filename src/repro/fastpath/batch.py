@@ -16,10 +16,11 @@ boundaries only hoist work across disjoint worlds, the same argument
 ``World.step`` already makes for hoisting across disjoint islands.
 
 ``BatchWorld`` takes a *uniform* fleet and has no membership of its
-own: which worlds may share a fleet is decided in one place,
-:class:`repro.api.SessionGroup`, which builds a fleet per cohort per
-frame (packing is per step, so a world joining or leaving between
-frames is exact for the others).
+own.  Nothing in ``repro`` packs worlds any more: a
+:class:`repro.api.SessionGroup` and a ``repro.serve`` shard step each
+session alone, because packing makes no row cheaper and measured slower
+than stepping one by one.  The class stays while the benchmark's layer
+tracer names ``BatchWorld.step_frame``.
 """
 
 from __future__ import annotations

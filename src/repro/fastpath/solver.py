@@ -69,7 +69,7 @@ class PackedRows:
             if body is None:
                 return -1
             # Keyed by identity, NOT body.uid: uid scopes are
-            # per-session, so a multi-world pack (BatchWorld) can hold
+            # per-session, so a multi-world pack (``fastpath.batch``) can hold
             # distinct bodies with equal uids.
             s = slot_of.get(body)
             if s is None:

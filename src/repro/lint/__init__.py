@@ -125,13 +125,13 @@ leave a visible trace in the world's health signals.""",
          _sim_files(determinism.check_pax106)),
     Rule("PAX107", "mutable-shared-state", """\
 Mutable module-level containers and mutable default arguments are
-process-global state: two worlds stepping in one process (BatchWorld,
-the future sharded service) would observe each other through them,
-and a world's behavior would depend on what ran before it — the exact
-coupling that makes replay-from-checkpoint diverge.  Keep per-world
-state on the World, pass explicit arguments, and reserve module level
-for immutable constants (ALL_CAPS names are treated as such and are
-exempt; write-once registries qualify).""",
+process-global state: two worlds stepping in one process (a
+SessionGroup, a repro.serve shard's residents) would observe each
+other through them, and a world's behavior would depend on what ran
+before it — the exact coupling that makes replay-from-checkpoint
+diverge.  Keep per-world state on the World, pass explicit arguments,
+and reserve module level for immutable constants (ALL_CAPS names are
+treated as such and are exempt; write-once registries qualify).""",
          _sim_files(determinism.check_pax107)),
     Rule("PAX201", "snapshot-completeness", """\
 WorldSnapshot restore replaying bit-identically is the resilience

@@ -1,8 +1,8 @@
 """``repro.serve`` — sharded async multi-world simulation service.
 
 Many independent simulation sessions run across worker processes (each
-worker batch-stepping its residents through one packed solve) behind an
-asyncio front-end. Sessions route to shards deterministically, migrate
+worker stepping its residents one at a time, each on its own clock)
+behind an asyncio front-end. Sessions route to shards deterministically, migrate
 between shards via checkpoint/restore with bit-identical replay, and
 degrade gracefully under load (quarantine, bounded-queue backpressure,
 per-session watchdogs).

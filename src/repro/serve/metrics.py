@@ -148,8 +148,6 @@ class ShardMetrics:
         self.counters = {
             "commands": 0,
             "frames": 0,
-            "batched_frames": 0,
-            "solo_frames": 0,
             "sessions_created": 0,
             "sessions_destroyed": 0,
             "sessions_restored": 0,
@@ -163,8 +161,7 @@ class ShardMetrics:
     def count(self, name: str, delta: int = 1):
         self.counters[name] = self.counters.get(name, 0) + delta
 
-    def observe_frame(self, session_id: str, seconds: float,
-                      batched: bool):
+    def observe_frame(self, session_id: str, seconds: float):
         self.frame_times.record(seconds)
         hist = self.session_frame_times.get(session_id)
         if hist is None:
@@ -172,7 +169,6 @@ class ShardMetrics:
                 FrameTimeHistogram()
         hist.record(seconds)
         self.count("frames")
-        self.count("batched_frames" if batched else "solo_frames")
 
     def observe_queue_depth(self, depth: int):
         if depth > self.queue_depth_peak:

@@ -2,21 +2,20 @@
 
 A worker owns a disjoint set of sessions and drives them through
 *frame rounds* instead of a global barrier: each round advances every
-session that has pending step work by one rendered frame. Which of
-them share a packed solve is not decided here: the round hands its
-sessions to :class:`~repro.api.SessionGroup` and steps the cohorts it
-returns, timing each and sharing the time among its members. Commands
-arrive on the shard's bounded inbox and queue per session in strict
-FIFO order — two shards never wait on each other.
+session that has pending step work by one rendered frame. Each session
+steps alone, through :meth:`~repro.api.Session.step`, between its own
+pair of clock reads, so its frame time, histogram and quarantine streak
+measure that session and no other. Commands arrive on the shard's
+bounded inbox and queue per session in strict FIFO order — two shards
+never wait on each other.
 
 Graceful degradation is per session:
 
-* sessions with a watchdog spec step solo under the rollback ladder
-  (the ``SessionGroup`` rule);
+* sessions with a watchdog spec step under the rollback ladder;
 * sessions whose frames run persistently slow are *quarantined* — they
-  leave the round's cohorts (so they stop inflating everyone's round)
-  and step only every ``quarantine_backoff``-th round at degraded FPS,
-  returning once they sustain fast frames again;
+  step only every ``quarantine_backoff``-th round at degraded FPS (so
+  they stop lengthening everyone's round), returning once they sustain
+  fast frames again;
 * the bounded inbox turns overload into a typed
   :class:`~repro.serve.protocol.BackpressureError` at the front-end
   instead of unbounded memory growth here.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import collections
 import queue
 
-from ..api import Session, SessionGroup, SessionSpec
+from ..api import Session, SessionSpec
 from . import protocol
 from .metrics import ShardMetrics, now
 
@@ -222,29 +221,21 @@ class ShardWorker:
         """Advance every stepping session by one rendered frame."""
         self.round_index += 1
         # Degraded cadence: a quarantined session gets a probe frame
-        # every ``quarantine_backoff`` rounds, on its own.
+        # every ``quarantine_backoff`` rounds.
         probing = self.round_index % self.options.quarantine_backoff == 0
-        due = {}  # session -> runtime, for everything stepping this round
-        for runtime in self.sessions.values():
-            if runtime.step_job is not None \
-                    and (probing or not runtime.quarantined):
-                due[runtime.session] = runtime
-        healthy = SessionGroup(session for session, runtime in due.items()
-                               if not runtime.quarantined)
-        probes = [[session] for session, runtime in due.items()
-                  if runtime.quarantined]
-        for cohort in healthy.cohorts() + probes:
-            # One clock per cohort; its members share the wall time.
+        # A finished step job runs the commands queued behind it, and a
+        # destroy among them leaves ``self.sessions``: iterate a copy.
+        for runtime in list(self.sessions.values()):
+            if runtime.step_job is None \
+                    or (runtime.quarantined and not probing):
+                continue
             start = now()
-            SessionGroup.step_cohort(cohort)
-            share = (now() - start) / len(cohort)
-            for session in cohort:
-                self._frame_done(due[session], share, len(cohort) > 1,
-                                 outbox)
+            runtime.session.step(1)
+            self._frame_done(runtime, now() - start, outbox)
 
     def _frame_done(self, runtime: SessionRuntime, seconds: float,
-                    batched: bool, outbox):
-        self.metrics.observe_frame(runtime.session_id, seconds, batched)
+                    outbox):
+        self.metrics.observe_frame(runtime.session_id, seconds)
         # No verb reads a past frame's report; keeping them all would
         # grow the shard with uptime.
         del runtime.session.reports[:-1]

@@ -108,7 +108,8 @@ def test_batch_packing_is_bit_identical_across_worlds():
     """Packing N worlds must not perturb any member's trajectory —
     including worlds whose bodies share uid values (uid scopes are
     per-session, so cross-world uid collisions are the normal case)."""
-    from repro.api import Session, SessionGroup, SessionSpec
+    from repro.api import Session, SessionSpec
+    from repro.fastpath.batch import BatchWorld
 
     def spec(seed):
         return SessionSpec("highspeed", scale=0.02, seed=seed,
@@ -118,7 +119,9 @@ def test_batch_packing_is_bit_identical_across_worlds():
     for s in solo:
         s.step(2)
     packed = [Session.create(spec(s)) for s in range(2)]
-    SessionGroup(packed).step(2)
+    batch = BatchWorld(s.world for s in packed)
+    for _ in range(2):
+        batch.step_frame()
     for a, b in zip(solo, packed):
         assert a.state_digest() == b.state_digest()
 

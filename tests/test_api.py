@@ -1,5 +1,5 @@
 """The session-first public API: SessionSpec, Session, SessionGroup,
-the one way to construct a World, and the SessionGroup packing rule."""
+and the one way to construct a World."""
 
 import json
 import warnings
@@ -127,32 +127,17 @@ class TestSessionGroup:
         assert removed.state_digest() == solos[1].state_digest()
         assert grouped[2].state_digest() == solos[2].state_digest()
 
-    def test_mixed_group_packs_by_cohort_and_matches_solo(
-            self, monkeypatch):
-        """The one packing rule: unguarded sessions sharing a kernel
-        set, solver_iterations and substeps_per_frame share a fleet;
-        everyone else steps through ``Session.step``; every member
-        lands on its solo twin's digest."""
-        from repro.fastpath import BatchWorld
+    def test_mixed_group_matches_solo(self):
+        """Every member steps through its own ``Session.step``, so a
+        group mixing backends, solver settings and a watchdog lands
+        every member on its solo twin's digest."""
         specs = [spec(seed=0), spec(seed=1),
                  spec(seed=2, backend="scalar"),
                  spec(seed=3, backend="scalar"),
                  spec(seed=4, config={"solver_iterations": 10}),
                  spec(seed=5, watchdog=True)]
         grouped = [Session.create(s) for s in specs]
-        group = SessionGroup(grouped)
-        assert [len(c) for c in group.cohorts()] == [2, 2, 1, 1]
-
-        fleets = []
-        step_frame = BatchWorld.step_frame
-
-        def counting(batch, drivers=None):
-            fleets.append(len(batch))
-            return step_frame(batch, drivers)
-
-        monkeypatch.setattr(BatchWorld, "step_frame", counting)
-        group.step(3)
-        assert fleets == [2, 2] * 3  # once per packed cohort per frame
+        SessionGroup(grouped).step(3)
 
         for session, twin_spec in zip(grouped, specs):
             twin = Session.create(twin_spec)
@@ -163,7 +148,7 @@ class TestSessionGroup:
 
     def test_group_rejects_duplicate_membership_unchanged(self):
         """A refused ``add`` leaves the group as it was: one entry per
-        session, so one frame per ``step(1)`` — batched or guarded."""
+        session, so one frame per ``step(1)`` — plain or guarded."""
         for session in (Session.create(spec()),
                         Session.create(spec(watchdog=True))):
             group = SessionGroup([session])

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
-from repro.fastpath import BatchWorld
+from repro.fastpath.batch import BatchWorld
 from repro.profiling import ISLAND_SWEEPS
 from repro.workloads.benchmarks import BENCHMARKS
 
@@ -155,9 +155,8 @@ def test_batch_world_matches_solo_stepping(pgs_path):
 
 
 def test_batch_world_rejects_mixed_fleet():
-    """``BatchWorld`` takes a uniform fleet; sorting worlds into
-    fleets is ``SessionGroup``'s job (its mixed-group test in
-    ``tests/test_api.py`` holds the every-world-matches-solo half)."""
+    """``BatchWorld`` takes a uniform fleet: one kernel set, one
+    ``solver_iterations``, one ``substeps_per_frame``."""
     worlds = []
     for backend in ("scalar", "numpy"):
         world, _driver = BENCHMARKS["ragdoll"].build(scale=0.03, seed=0,

@@ -9,11 +9,13 @@ import re
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DOCS = ("DESIGN.md", os.path.join("docs", "MODELING.md"))
-PATH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md") + tuple(
-    sorted(os.path.join("docs", name)
-           for name in os.listdir(os.path.join(ROOT, "docs"))
-           if name.endswith(".md")))
+_DOCS_DIR = tuple(sorted(os.path.join("docs", name)
+                         for name in os.listdir(os.path.join(ROOT, "docs"))
+                         if name.endswith(".md")))
+# The documents that describe today's code. EXPERIMENTS.md is a log:
+# its history names code that has since been deleted.
+DOCS = ("README.md", "DESIGN.md") + _DOCS_DIR
+PATH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md") + _DOCS_DIR
 
 # `repro.pkg.module.attr`, optionally followed by a call's "(".
 _DOTTED = re.compile(r"`(repro(?:\.\w+)+)[`(]")

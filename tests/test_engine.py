@@ -5,9 +5,10 @@ import functools
 import importlib
 import inspect
 
-from repro.api import Session, SessionGroup, SessionSpec
+from repro.api import Session, SessionSpec
 from repro.engine import World, WorldConfig, scalar
 from repro.dynamics import Body, FixedJoint
+from repro.fastpath.batch import BatchWorld
 from repro.fastpath import kernels as numpy_kernels
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Vec3
@@ -196,7 +197,7 @@ class TestKernelSets:
 
     def test_stage_seams_are_late_bound(self, monkeypatch):
         """A wrapper patched onto a stage entry point after import must
-        be what a numpy step runs, solo and grouped: a kernel set that
+        be what a numpy step runs, solo and packed: a kernel set that
         captured the function objects would pass every digest and
         silently zero the benchmark's per-layer timings."""
         fired = set()
@@ -216,7 +217,7 @@ class TestKernelSets:
         assert set(fired) == set(STAGE_SEAMS) - {
             ("repro.fastpath.batch", "BatchWorld.step_frame")}
         fired.clear()
-        SessionGroup([session(), session()]).step(1)
+        BatchWorld([session().world, session().world]).step_frame()
         assert set(fired) == set(STAGE_SEAMS) - {
             ("repro.engine.world", "World.step")}
 

@@ -77,12 +77,11 @@ class TestMetrics:
     def test_merge_snapshots_folds_counters(self):
         from repro.serve import ShardMetrics
         m0, m1 = ShardMetrics(0), ShardMetrics(1)
-        m0.observe_frame("a", 0.01, batched=True)
-        m1.observe_frame("b", 0.02, batched=False)
+        m0.observe_frame("a", 0.01)
+        m1.observe_frame("b", 0.02)
         m1.count("quarantines")
         merged = merge_snapshots([m0.snapshot(), m1.snapshot()])
         assert merged["counters"]["frames"] == 2
-        assert merged["counters"]["batched_frames"] == 1
         assert merged["counters"]["quarantines"] == 1
         assert merged["frame_time_summary"]["count"] == 2
 
@@ -202,26 +201,64 @@ class TestShardWorker:
         assert outbox[5]["error"] == outbox[3]["error"]
         assert worker.metrics.counters["errors"] == 2
 
-    def test_round_packs_scalar_sessions_too(self):
-        """Which sessions share a solve is ``SessionGroup``'s rule, and
-        that rule does not name a backend."""
+    def test_round_steps_each_session_like_its_twin(self):
+        """A round steps each due session alone, so every served
+        session lands on its solo twin's digest, whatever its backend."""
         worker, outbox = ShardWorker(0), Outbox()
         twins = []
-        for seed in (0, 1):
-            scalar_spec = spec(seed=seed, backend="scalar")
+        for seed, backend in enumerate(("scalar", "numpy")):
+            twin_spec = spec(seed=seed, backend=backend)
             worker._dispatch(protocol.request(
-                seed, "create", f"s{seed}", spec=scalar_spec.to_dict()),
+                seed, "create", f"s{seed}", spec=twin_spec.to_dict()),
                 outbox)
             worker._dispatch(protocol.request(
                 10 + seed, "step", f"s{seed}"), outbox)
-            twins.append(Session.create(scalar_spec))
+            twins.append(Session.create(twin_spec))
         worker._frame_round(outbox)
         assert not worker._has_step_work()
-        assert worker.metrics.counters["batched_frames"] == 2
+        assert worker.metrics.counters["frames"] == 2
         for seed, twin in enumerate(twins):
             twin.step(1)
             served = worker.sessions[f"s{seed}"].session
             assert served.state_digest() == twin.state_digest()
+
+    def test_each_session_is_timed_on_its_own_clock(self, monkeypatch):
+        """A slow session's frame time is its own: it is quarantined
+        alone, and each session's histogram reads its own frames. The
+        fake clock advances only inside each session's driver, so a
+        frame's reading is exactly what that session's sub-steps cost."""
+        import repro.serve.shard as shard
+        clock = [0.0]
+        monkeypatch.setattr(shard, "now", lambda: clock[0])
+        worker = ShardWorker(0, ShardOptions(slow_frame_seconds=0.25,
+                                             quarantine_after=2))
+        outbox = Outbox()
+        for req_id, (sid, frame_seconds) in enumerate(
+                (("fast", 0.01), ("slow", 1.0))):
+            worker._dispatch(protocol.request(
+                req_id, "create", sid, spec=spec().to_dict()), outbox)
+            session = worker.sessions[sid].session
+            substeps = session.world.config.substeps_per_frame
+
+            def driver(scene_driver=session._driver,
+                       tick=frame_seconds / substeps):
+                clock[0] += tick
+                if scene_driver is not None:
+                    scene_driver()
+            session._driver = driver
+            worker._dispatch(protocol.request(
+                10 + req_id, "step", sid, frames=4), outbox)
+        while worker._has_step_work():
+            worker._frame_round(outbox)
+
+        assert worker.sessions["slow"].quarantined
+        assert not worker.sessions["fast"].quarantined
+        assert worker.metrics.counters["quarantines"] == 1
+        assert worker.metrics.counters["frames"] == 8
+        p50 = {sid: summary["p50_s"] for sid, summary in
+               worker.metrics.snapshot()["sessions"].items()}
+        assert p50["fast"] < 0.02
+        assert p50["slow"] > 0.5
 
     def test_served_session_keeps_only_its_last_report(self):
         """A shard must not grow with uptime: nothing served reads a
@@ -360,7 +397,7 @@ class TestCluster:
             assert result["watchdog_events"] >= 1
             stats = await service.call("stats", shard_id=0)
             assert stats["counters"]["watchdog_events"] >= 1
-            assert stats["counters"]["solo_frames"] == 4
+            assert stats["counters"]["frames"] == 4
 
         serve(scenario, n_shards=1)
 
@@ -423,8 +460,11 @@ class TestService:
         status, stats = asyncio.run(scenario())
         assert status["frame_index"] == 3
         assert stats["counters"]["frames"] == 18
-        # Concurrent sessions on one shard pack into batched rounds.
-        assert stats["counters"]["batched_frames"] > 0
+        # Every session is timed on its own clock: one histogram each.
+        per_session = {sid: summary["count"]
+                       for shard in stats["shards"]
+                       for sid, summary in shard["sessions"].items()}
+        assert per_session == {f"s{i}": 3 for i in range(6)}
 
     def test_async_migration_matches_twin(self):
         async def scenario():
