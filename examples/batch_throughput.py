@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Batch throughput: many small worlds through one packed solve.
+"""Batch throughput: many small worlds stepped in lockstep.
 
 Builds N independent copies of the ragdoll workload and steps them
 three ways — scalar one-by-one, backend="numpy" one-by-one, and as a
 single :class:`repro.fastpath.batch.BatchWorld` — then prints per-world frame
-times.  The batch path packs every world's constraint islands into one
-solve call per sub-step; the packed rows go through the same C sweep as
-one world's, so packing buys lockstep stepping, not cheaper rows, and
-nothing else in ``repro`` packs (a ``repro.serve`` shard steps each
-session alone).
+times.  The batch path steps every world with its own ``World.step``
+around one shared frame loop, so it buys lockstep stepping, not cheaper
+rows, and nothing else in ``repro`` uses it (a ``repro.serve`` shard
+steps each session alone).
 
 Run from the repo root::
 
@@ -69,7 +68,7 @@ def main():
     print(f"numpy,  BatchWorld : {t_batch * per:8.3f} ms/world-frame"
           f"  (x{t_scalar / t_batch:.2f})")
 
-    # Packing is free correctness-wise: every world matches its solo run.
+    # Lockstep changes nothing: every world matches its solo run.
     rec_a = TrajectoryRecorder(solo_worlds[0])
     rec_b = TrajectoryRecorder(batch_worlds[0])
     rec_a.snapshot()

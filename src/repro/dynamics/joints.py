@@ -6,6 +6,11 @@ All joints follow the same protocol the island processor drives:
   list (world-space Jacobians + Baumgarte bias from position error);
 * ``end_step(dt)`` — inspect accumulated impulses (breakage checks).
 
+``solve_island`` (and the numpy kernel set's C sweep) leaves each
+solved constraint's accumulated impulses on it as ``impulses``, one per
+row in row order; that tuple, not the rows, is what the world, breakage
+and snapshots read (the numpy kernel set builds no ``Row`` at all).
+
 Contact normals point from ``body_b`` toward ``body_a``.
 """
 
@@ -24,7 +29,7 @@ class Joint:
         self.enabled = True
         self.broken = False
         self.break_threshold = None  # max reaction force (N), or None
-        self.rows = []
+        self.impulses = ()  # per row, from the last solve
 
     def connected_bodies(self):
         return (self.body_a, self.body_b)
@@ -42,11 +47,11 @@ class Joint:
 
     def reaction_force(self, dt: float) -> float:
         """Magnitude of the constraint force from the last solve."""
-        if dt <= 0.0 or not self.rows:
+        if dt <= 0.0 or not self.impulses:
             return 0.0
         total = 0.0
-        for row in self.rows:
-            total += row.impulse * row.impulse
+        for impulse in self.impulses:
+            total += impulse * impulse
         return math.sqrt(total) / dt
 
     # -- checkpointing --------------------------------------------------
@@ -58,7 +63,7 @@ class Joint:
         return {
             "enabled": self.enabled,
             "broken": self.broken,
-            "impulses": [row.impulse for row in self.rows],
+            "impulses": list(self.impulses),
         }
 
     def restore_state(self, state: dict):
@@ -108,8 +113,6 @@ class ContactJoint(Joint):
             restitution = max(geom_a.restitution, geom_b.restitution)
         self.friction = friction
         self.restitution = restitution
-        self.normal_row = None
-        self.tangent_rows = ()
 
     @property
     def cache_key(self):
@@ -132,7 +135,7 @@ class ContactJoint(Joint):
         vn = self._normal_velocity(n, ra, rb)
         if self.restitution > 0.0 and vn < -self.RESTITUTION_THRESHOLD:
             rhs = max(rhs, -self.restitution * vn)
-        self.normal_row = Row(
+        normal_row = Row(
             a, b,
             lin_a=n, ang_a=ra.cross(n),
             lin_b=-n, ang_b=-(rb.cross(n)),
@@ -140,7 +143,7 @@ class ContactJoint(Joint):
             joint=self,
         )
 
-        rows = [self.normal_row]
+        rows = [normal_row]
         if self.friction > 0.0:
             t1 = n.any_orthonormal()
             t2 = n.cross(t1)
@@ -151,11 +154,10 @@ class ContactJoint(Joint):
                     lin_a=t, ang_a=ra.cross(t),
                     lin_b=-t, ang_b=-(rb.cross(t)),
                     rhs=0.0,
-                    friction_of=self.normal_row,
+                    friction_of=normal_row,
                     friction_coeff=self.friction,
                     joint=self,
                 ))
-            self.tangent_rows = tuple(tangents)
             rows.extend(tangents)
         self.rows = rows
         return rows
@@ -303,7 +305,7 @@ class FixedJoint(Joint):
     def reaction_force(self, dt: float) -> float:
         # Breakage judged on the translational (shear/tension) rows only,
         # so torque units don't mix into the force threshold.
-        if dt <= 0.0 or not self.rows:
+        if dt <= 0.0 or not self.impulses:
             return 0.0
-        total = sum(r.impulse * r.impulse for r in self.rows[:3])
+        total = sum(i * i for i in self.impulses[:3])
         return math.sqrt(total) / dt

@@ -133,6 +133,10 @@ def solve_island(rows, iterations: int = 20) -> SolveStats:
     A fixed iteration count (no early-out) keeps the work — and thus the
     modeled instruction counts — a deterministic function of the scene,
     matching how the paper characterizes Island Processing.
+
+    Each constraint with rows here is left holding their solved
+    impulses, in row order, as its ``impulses`` tuple: what the world's
+    warm-start cache, breakage and snapshots read.
     """
     rows = list(rows)
     max_delta = 0.0
@@ -147,5 +151,11 @@ def solve_island(rows, iterations: int = 20) -> SolveStats:
                 max_delta = d
             if it == last_iteration and d > residual:
                 residual = d
+    impulses = {}
+    for row in rows:
+        if row.joint is not None:
+            impulses.setdefault(row.joint, []).append(row.impulse)
+    for joint, values in impulses.items():
+        joint.impulses = tuple(values)
     return SolveStats(len(rows), iterations, iterations * len(rows),
                       max_delta, residual)

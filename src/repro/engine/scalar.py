@@ -119,12 +119,10 @@ def build_rows(world, islands, dt: float):
         for cj in island.contact_joints:
             cj_rows = cj.begin_step(dt, erp)
             if cfg.warm_starting:
-                cached = cache.get(cj.cache_key)
-                if cached is not None:
-                    cj.normal_row.warm_start(cached[0])
-                    for row, imp in zip(cj.tangent_rows,
-                                        cached[1:]):
-                        row.warm_start(imp)
+                # The cache holds the normal impulse, then the friction
+                # impulses if the contact had friction.
+                for row, imp in zip(cj_rows, cache.get(cj.cache_key, ())):
+                    row.warm_start(imp)
             rows.extend(cj_rows)
         for joint in island.joints:
             rows.extend(joint.begin_step(dt, erp))

@@ -264,32 +264,20 @@ class World:
     def step(self):
         """Advance one ``dt`` sub-step through the five-phase pipeline.
 
-        Three stages, so the packed fleet in ``repro.fastpath.batch``
-        can run the same calls over many worlds around one packed solve:
-        ``_prepare_step`` (pre-phase through constraint-row setup), the
-        kernel set's ``solve`` over every island's rows, ``_finish_step``
-        (integration, cloth, clocks).  Stage boundaries only hoist work
-        across *disjoint* islands, so the trajectory is bit-identical
-        to solving and integrating island by island.
+        Every island's rows are built before any island solves, and the
+        kernel set's ``solve`` sweeps them all in one call.  That only
+        hoists work across *disjoint* islands, so the trajectory is
+        bit-identical to building and solving island by island.
 
         ``_finish_islands`` likewise end-steps, integrates, accounts
         and sleep-tests once per world, not island by island, which is
         exact because: ``integrate`` still visits bodies in island
         order, so each CCD sweep sees the poses and ``enabled`` flags
-        it saw before; ``joint.end_step`` reads only its rows' impulses
+        it saw before; ``joint.end_step`` reads only its own impulses
         and writes only its joint's flags; ``_update_sleep`` writes
         only its own island's ``sleeping`` flags and velocities, which
         no other island's integration reads.  Counters sum integers.
         """
-        islands, islands_rows, live_geoms = self._prepare_step()
-        stats_list = self.kernels.solve(islands_rows,
-                                        self.config.solver_iterations)
-        self._finish_step(islands, stats_list, live_geoms)
-
-    def _prepare_step(self):
-        """Phases 1-4a.  Returns the islands to process, the constraint
-        rows of those that have constraints (one list per such island,
-        in island order) and the step's enabled geoms."""
         cfg = self.config
         if self.report is None:
             self.report = FrameReport(self.frame_index)
@@ -301,7 +289,7 @@ class World:
         contacts = self.kernels.collide(self, pairs, report)
         islands = self._create_islands(contacts)
 
-        # Phase 4a: forces + constraint-row setup.  Islands are
+        # Phases 4a-4b: forces, constraint-row setup, solve.  Islands are
         # body-disjoint, so building every island's rows (including
         # warm-start impulses, which only touch the island's own
         # bodies) before any island solves reads exactly the state an
@@ -317,8 +305,12 @@ class World:
         # An island without constraints has no rows to build or solve;
         # ``_finish_islands`` accounts for it as a zero-row solve.
         constrained = [i for i in live_islands if i.constraint_count()]
-        islands_rows = self.kernels.build_rows(self, constrained, cfg.dt)
-        return live_islands, islands_rows, live_geoms
+        built = self.kernels.build_rows(self, constrained, cfg.dt)
+        stats_list = self.kernels.solve(built, cfg.solver_iterations)
+        self._finish_islands(live_islands, stats_list)
+        self._step_cloths(live_geoms)
+        self.step_index += 1
+        self.time += cfg.dt
 
     def _apply_explosions(self):
         """Pre-phase: explosions push bodies and trigger prefracture.
@@ -390,13 +382,6 @@ class World:
         report.touch("island_creation", "joint", active_joint_ids)
         return islands
 
-    def _finish_step(self, islands, stats_list, live_geoms):
-        """Phases 4c-5 and the clocks, given the solved islands' stats."""
-        self._finish_islands(islands, stats_list)
-        self._step_cloths(live_geoms)
-        self.step_index += 1
-        self.time += self.config.dt
-
     def _finish_islands(self, islands, stats_list):
         """Phase 4c, one pass per world: joint end-step and impulse
         cache, then one ``integrate`` over every island's bodies in
@@ -419,9 +404,7 @@ class World:
             for joint in island.joints:
                 joint.end_step(dt)
             for cj in island.contact_joints:
-                new_cache[cj.cache_key] = (
-                    cj.normal_row.impulse,
-                ) + tuple(r.impulse for r in cj.tangent_rows)
+                new_cache[cj.cache_key] = cj.impulses
             bodies.extend(island.bodies)
             row_counts.append(stats.rows)
             uid_lists.append(uids)

@@ -3,10 +3,11 @@
 ``repro.fastpath`` restates the profiled hot loops behind the existing
 APIs.  The SAP interval sweep, the sphere/box narrowphase pair tests
 and Jakobsen cloth relaxation are vectorized; the per-body force and
-integrate loops run over unboxed floats, and the PGS sweep, whose
-dependency chain leaves no lanes for array code, is a C kernel
-(``pgs.c``) with the scalar solver as its fallback.  A world binds one
-kernel set at construction::
+integrate loops run over unboxed floats.  Constraint-row setup and the
+PGS sweep, whose dependency chain leaves no lanes for array code, are
+C (``pgs.c``): rows are built straight into the packed buffers the
+sweep reads, and the scalar row build and solver are the fallback.  A
+world binds one kernel set at construction::
 
     World(backend="numpy")     # repro.fastpath.kernels (SoA)
     World(backend="scalar")    # repro.engine.scalar, the oracle (default)

@@ -1,5 +1,5 @@
 """The numpy kernel set: :mod:`repro.engine.scalar`'s phases over the
-SoA kernels of this package.
+SoA and C kernels of this package.
 
 Every function reaches its kernel as ``module.func`` at call time, so a
 wrapper patched onto e.g. ``solver.solve_islands`` (how ``bench/``
@@ -9,6 +9,7 @@ times each layer from outside) is what a step runs.
 from __future__ import annotations
 
 from ..collision import BROADPHASES
+from ..engine import scalar
 from . import bodies, cloth, joints, narrowphase, rows, solver
 from .broadphase import VectorSweepAndPrune
 
@@ -28,35 +29,28 @@ def apply_forces(world, dt: float):
 
 
 def build_rows(world, islands, dt: float):
-    """Contacts batch across islands in island order; warm starts
-    (island-local velocity nudges) interleave in the same global
-    sequence the scalar loop produces.  Joints only read positions /
-    own-island velocities, so building them afterwards reads identical
-    state."""
+    """Every island's rows, built in C into one :class:`~.solver.PackedRows`:
+    contacts first, in island order, so their warm starts interleave
+    in the sequence the scalar loop produces; then joints, which read
+    only poses and so see identical state.  Without the native
+    library, the oracle's row lists."""
+    lib = solver._native()
+    if lib is None:
+        return scalar.build_rows(world, islands, dt)
     cfg = world.config
-    erp = cfg.erp
-    built = rows.build_contact_rows(
-        [cj for isl in islands for cj in isl.contact_joints], dt, erp,
+    pack = rows.build_contact_rows(
+        islands, lib, dt, cfg.erp,
         world._impulse_cache if cfg.warm_starting else None)
-    jbuilt = joints.build_joint_rows(
-        [j for isl in islands for j in isl.joints], dt, erp)
-    pos = 0
-    jpos = 0
-    islands_rows = []
-    for island in islands:
-        island_rows = []
-        for _cj in island.contact_joints:
-            island_rows.extend(built[pos])
-            pos += 1
-        for _joint in island.joints:
-            island_rows.extend(jbuilt[jpos])
-            jpos += 1
-        islands_rows.append(island_rows)
-    return islands_rows
+    joints.build_joint_rows(pack, dt, cfg.erp)
+    return pack
 
 
-def solve(islands_rows, iterations: int):
-    return solver.solve_islands(islands_rows, iterations)
+def solve(built, iterations: int):
+    """The C sweep over the pack ``build_rows`` returned, or the oracle
+    over the row lists it returns without the native library."""
+    if isinstance(built, list):
+        return scalar.solve(built, iterations)
+    return solver.solve_islands(built, iterations)
 
 
 def integrate(world, island_bodies, dt: float):

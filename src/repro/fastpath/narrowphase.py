@@ -23,7 +23,19 @@ from ..collision.narrowphase import (
 )
 from ..engine.scalar import narrowphase as run_narrowphase
 from ..math3d import Vec3
-from .rows import _rotate
+
+
+def _rotate(w, x, y, z, vx, vy, vz):
+    """Quaternion.rotate, componentwise (floats or arrays)."""
+    uvx = y * vz - z * vy
+    uvy = z * vx - x * vz
+    uvz = x * vy - y * vx
+    uuvx = y * uvz - z * uvy
+    uuvy = z * uvx - x * uvz
+    uuvz = x * uvy - y * uvx
+    return (vx + (uvx * w + uuvx) * 2.0,
+            vy + (uvy * w + uuvy) * 2.0,
+            vz + (uvz * w + uuvz) * 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Make ``src/`` importable whether or not PYTHONPATH is set, pin the
 Hypothesis execution profiles, share the suite's one regeneration of
-``results/``, and switch the packed solve between its two paths."""
+``results/``, and switch the numpy backend's row build and solve
+between their two paths."""
 
 import contextlib
 import os
@@ -51,12 +52,12 @@ def regen():
 
 @pytest.fixture(scope="session")
 def pgs_path():
-    """``with pgs_path(p):`` runs the block's packed solves on the C
-    kernel (``"native"``) or on the scalar oracle the loader falls back
-    to (``"fallback"``).  Session-scoped and self-restoring, so
+    """``with pgs_path(p):`` builds and solves the block's numpy-backend
+    rows in C (``"native"``) or on the scalar oracle the loader falls
+    back to (``"fallback"``).  Session-scoped and self-restoring, so
     Hypothesis tests can take it; tests loop or parametrise over both
     paths, so every tier-1 run covers each.  ``"native"`` fails unless
-    the C kernel is loaded: otherwise both halves would run the
+    the C library is loaded: otherwise both halves would run the
     fallback and hold the oracle to itself."""
     from repro.fastpath import solver
 
@@ -65,7 +66,7 @@ def pgs_path():
         if path == "native":
             status = solver.native_status()
             assert status == "native", (
-                f"the native PGS kernel is not loaded ({status}); the "
+                f"the native row kernels are not loaded ({status}); the "
                 "'native' path would silently re-run the scalar fallback")
             yield
         else:

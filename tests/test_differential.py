@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.api import Session, SessionSpec
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
 from repro.fastpath.batch import BatchWorld
 from repro.profiling import ISLAND_SWEEPS
@@ -135,8 +136,8 @@ def _record_batch(batch, drivers, frames):
 
 
 def test_batch_world_matches_solo_stepping(pgs_path):
-    """Packing N worlds into one solve must not change any of them, on
-    either solve path."""
+    """Stepping N worlds in lockstep must not change any of them, on
+    either path."""
     frames = 12
     solo = []
     for seed in range(4):
@@ -154,14 +155,40 @@ def test_batch_world_matches_solo_stepping(pgs_path):
                 f"world seed={seed} ({path}) diverged by {div}")
 
 
+def test_restored_oversized_warm_start_entries_match_the_oracle(pgs_path):
+    """A checkpoint is client input, and its warm-start cache may hold
+    more impulses per contact than a contact has rows.  The oracle's
+    warm start zips a contact's rows with its entry and never reads the
+    extras; the C row build must ignore them too, not read its contact
+    table shifted."""
+    digests = set()
+    for backend, path in (("scalar", "fallback"), ("numpy", "native"),
+                          ("numpy", "fallback")):
+        with pgs_path(path):
+            session = Session.create(SessionSpec(
+                "breakable", scale=0.03, seed=0, backend=backend))
+            session.step(4)
+            payload = session.checkpoint()
+            cache = payload["snapshot"]["impulse_cache"]
+            assert cache, "no warm-start entries to pad"
+            for entry in cache:
+                entry[1] += [1.0e3, -7.0, 2.5]
+            restored = Session.restore(payload)
+            restored.step(4)
+            digests.add(restored.state_digest())
+    assert len(digests) == 1
+
+
 def test_batch_world_rejects_mixed_fleet():
-    """``BatchWorld`` takes a uniform fleet: one kernel set, one
-    ``solver_iterations``, one ``substeps_per_frame``."""
+    """``BatchWorld``'s worlds share one ``substeps_per_frame`` (the
+    lockstep frame); each keeps its own kernel set."""
     worlds = []
     for backend in ("scalar", "numpy"):
         world, _driver = BENCHMARKS["ragdoll"].build(scale=0.03, seed=0,
                                                      backend=backend)
         worlds.append(world)
+    assert len(BatchWorld(worlds)) == 2
+    worlds[1].config.substeps_per_frame += 1
     with pytest.raises(ValueError):
         BatchWorld(worlds)
     with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ def test_golden_trajectory(name, request):
 @pytest.mark.parametrize("name", GOLDEN)
 @pytest.mark.parametrize("path", ("native", "fallback"))
 def test_golden_trajectory_numpy(path, name, pgs_path):
-    """The numpy backend reaches the packed solve whatever
+    """The numpy backend reaches the C row build and solve whatever
     ``REPRO_BACKEND`` says, so the scalar CI job checks both its paths
     against the fixtures too."""
     with pgs_path(path):

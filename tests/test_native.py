@@ -1,7 +1,8 @@
-"""The native PGS kernel's loader: cache, rebuild, races and fallback.
+"""The native row kernels' loader: cache, rebuild, races and fallback.
 
-``repro.fastpath.solver`` compiles ``pgs.c`` at the first solve into
-``$XDG_CACHE_HOME/repro`` and checks it on a canary island before use.
+``repro.fastpath.solver`` compiles ``pgs.c`` at first use into
+``$XDG_CACHE_HOME/repro`` and checks its row builders and its sweep on
+a canary scene before use.
 Each test points the cache at its own empty directory and clears the
 loader's memo on both sides, so the rest of the suite keeps the kernel
 the process loaded first.
@@ -86,7 +87,9 @@ def _digest(backend):
 @needs_cc
 def test_canary_mismatch_falls_back_to_the_oracle(cold_cache,
                                                   monkeypatch, caplog):
-    monkeypatch.setattr(solver, "_canary_agrees", lambda kernel: False)
+    """A library that fails the canary is not used: row build and
+    solve both run the oracle."""
+    monkeypatch.setattr(solver, "_canary_agrees", lambda lib: False)
     with caplog.at_level("WARNING", logger="repro.fastpath"):
         assert solver.native_status() == "fallback: canary"
         assert _digest("numpy") == _digest("scalar")
