@@ -73,47 +73,35 @@ class SessionSpec:
     """JSON-serializable description of one simulation session.
 
     ``config`` holds :class:`~repro.engine.WorldConfig` field overrides
-    applied to the scenario's world after build (pass a full
-    ``WorldConfig`` to pin every field). ``watchdog_config`` mirrors
-    :class:`~repro.resilience.WatchdogConfig`; ``faults`` is a list of
-    ``{"step", "kind", "persistent"}`` records (a
-    :class:`~repro.resilience.FaultSchedule` is accepted and
-    flattened). ``backend`` is pinned by :meth:`resolved` so the same
-    spec builds the same world on any host.
+    applied to the scenario's world after build. ``watchdog`` steps
+    under :class:`~repro.resilience.StepWatchdog` at its module
+    thresholds; ``faults`` is a list of ``{"step", "kind",
+    "persistent"}`` records (a :class:`~repro.resilience.FaultSchedule`
+    is accepted and flattened). ``backend`` is pinned by
+    :meth:`resolved` so the same spec builds the same world on any
+    host.
     """
 
     def __init__(self, scenario: str, scale: float = 1.0, seed: int = 0,
                  backend: str = None, config=None,
-                 watchdog: bool = False, watchdog_config=None,
-                 faults=None):
+                 watchdog: bool = False, faults=None):
         self.scenario = scenario
         self.scale = float(scale)
         self.seed = int(seed)
         self.backend = backend
         self.config = self._normalize_config(config)
         self.watchdog = bool(watchdog)
-        self.watchdog_config = self._normalize_watchdog(watchdog_config)
         self.faults = self._normalize_faults(faults)
 
     @staticmethod
     def _normalize_config(config):
         if config is None:
             return None
-        if isinstance(config, WorldConfig):
-            return config.to_dict()
         unknown = set(config) - set(WorldConfig.field_names())
         if unknown:
             raise TypeError(
                 f"unknown WorldConfig fields: {sorted(unknown)}")
         return dict(config)
-
-    @staticmethod
-    def _normalize_watchdog(watchdog_config):
-        if watchdog_config is None:
-            return None
-        if isinstance(watchdog_config, dict):
-            return dict(watchdog_config)
-        return watchdog_config.to_dict()
 
     @staticmethod
     def _normalize_faults(faults):
@@ -146,8 +134,6 @@ class SessionSpec:
             "backend": self.backend,
             "config": dict(self.config) if self.config else None,
             "watchdog": self.watchdog,
-            "watchdog_config": (dict(self.watchdog_config)
-                                if self.watchdog_config else None),
             "faults": ([dict(f) for f in self.faults]
                        if self.faults else None),
         }
@@ -262,8 +248,7 @@ class Session:
             guard = injector = None
             if spec.watchdog or spec.faults:
                 from .resilience import (Fault, FaultInjector,
-                                         FaultSchedule, StepWatchdog,
-                                         WatchdogConfig)
+                                         FaultSchedule, StepWatchdog)
                 if spec.faults:
                     schedule = FaultSchedule(
                         Fault(f["step"], f["kind"], f["persistent"])
@@ -271,10 +256,7 @@ class Session:
                     injector = FaultInjector(world, schedule,
                                              seed=spec.seed)
                 if spec.watchdog:
-                    wd_config = (WatchdogConfig.from_dict(
-                        spec.watchdog_config)
-                        if spec.watchdog_config else None)
-                    guard = StepWatchdog(world, wd_config)
+                    guard = StepWatchdog(world)
             if injector is not None:
                 scene_driver = driver
 

@@ -21,6 +21,10 @@ import math
 from ..math3d import Vec3
 from .solver import Row
 
+#: Error-reduction parameter: the share of a step's position error the
+#: Baumgarte bias corrects (ODE's default).
+ERP = 0.2
+
 
 class Joint:
     def __init__(self, body_a, body_b):
@@ -34,7 +38,7 @@ class Joint:
     def connected_bodies(self):
         return (self.body_a, self.body_b)
 
-    def begin_step(self, dt: float, erp: float = 0.2):
+    def begin_step(self, dt: float, erp: float = ERP):
         raise NotImplementedError
 
     def end_step(self, dt: float):
@@ -119,7 +123,7 @@ class ContactJoint(Joint):
         c = self.contact
         return (c.geom_a.index, c.geom_b.index, c.feature)
 
-    def begin_step(self, dt: float, erp: float = 0.2):
+    def begin_step(self, dt: float, erp: float = ERP):
         c = self.contact
         a, b = self.body_a, self.body_b
         n = c.normal
@@ -191,7 +195,7 @@ class BallJoint(Joint):
         wb = self.body_b.transform.apply(self.anchor_local_b)
         return wa.distance_to(wb)
 
-    def begin_step(self, dt: float, erp: float = 0.2):
+    def begin_step(self, dt: float, erp: float = ERP):
         self.rows = self._anchor_rows(dt, erp, self.anchor_local_a,
                                       self.anchor_local_b)
         return self.rows
@@ -230,7 +234,7 @@ class HingeJoint(Joint):
         self.motor_max_force = state["motor_max_force"]
         return self
 
-    def begin_step(self, dt: float, erp: float = 0.2):
+    def begin_step(self, dt: float, erp: float = ERP):
         rows = self._anchor_rows(dt, erp, self.anchor_local_a,
                                  self.anchor_local_b)
         a, b = self.body_a, self.body_b
@@ -279,7 +283,7 @@ class FixedJoint(Joint):
                       * body_a.orientation).normalized()
         self.break_threshold = break_threshold
 
-    def begin_step(self, dt: float, erp: float = 0.2):
+    def begin_step(self, dt: float, erp: float = ERP):
         rows = self._anchor_rows(dt, erp, self.anchor_local_a,
                                  self.anchor_local_b)
         a, b = self.body_a, self.body_b

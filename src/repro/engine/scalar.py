@@ -14,7 +14,11 @@ from ..collision import BROADPHASES
 from ..collision import ccd as ccd_mod
 from ..collision import collide as collide_pair
 from ..dynamics import solve_island
+from ..dynamics.joints import ERP
 from ..profiling import task_cost_narrowphase
+
+#: A pair keeps at most this many contacts, the deepest first.
+MAX_CONTACTS_PER_PAIR = 4
 
 
 def make_broadphase(name: str):
@@ -30,7 +34,6 @@ def narrowphase(world, pairs, report, test_pairs):
     contacted-body health signals, and the report counters.  Contacts
     come back in pair order.
     """
-    cfg = world.config
     filtered = []
     np_geom_ids = []
     np_body_ids = []
@@ -52,9 +55,9 @@ def narrowphase(world, pairs, report, test_pairs):
     # so the report is what per-pair calls would have produced.
     task_costs = []
     for (ga, gb), found in zip(filtered, test_pairs(filtered)):
-        if len(found) > cfg.max_contacts_per_pair:
+        if len(found) > MAX_CONTACTS_PER_PAIR:
             found = sorted(found, key=lambda c: -c.depth)
-            found = found[:cfg.max_contacts_per_pair]
+            found = found[:MAX_CONTACTS_PER_PAIR]
         task_costs.append(task_cost_narrowphase(len(found)))
         if found:
             for body in (ga.body, gb.body):
@@ -111,13 +114,12 @@ def build_rows(world, islands, dt: float):
     """Constraint rows for each island, warm-started from the world's
     impulse cache; one row list per island."""
     cfg = world.config
-    erp = cfg.erp
     cache = world._impulse_cache
     islands_rows = []
     for island in islands:
         rows = []
         for cj in island.contact_joints:
-            cj_rows = cj.begin_step(dt, erp)
+            cj_rows = cj.begin_step(dt, ERP)
             if cfg.warm_starting:
                 # The cache holds the normal impulse, then the friction
                 # impulses if the contact had friction.
@@ -125,7 +127,7 @@ def build_rows(world, islands, dt: float):
                     row.warm_start(imp)
             rows.extend(cj_rows)
         for joint in island.joints:
-            rows.extend(joint.begin_step(dt, erp))
+            rows.extend(joint.begin_step(dt, ERP))
         islands_rows.append(rows)
     return islands_rows
 

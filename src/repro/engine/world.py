@@ -26,20 +26,22 @@ from .explosions import Explosion, PrefracturedBody
 # functions, per-object (the oracle) or struct-of-arrays.
 _KERNELS = {"scalar": scalar_kernels, "numpy": numpy_kernels}
 
+# Auto-sleep: an island whose every body stays under both speeds (m/s,
+# rad/s) for SLEEP_TIME seconds goes to sleep.
+SLEEP_LINEAR_THRESHOLD = 0.05
+SLEEP_ANGULAR_THRESHOLD = 0.08
+SLEEP_TIME = 0.5
+
 
 class WorldConfig:
     """Tunables for the engine; defaults match the paper's setup."""
 
     def __init__(self, gravity: Vec3 = None, dt: float = 0.01,
                  substeps_per_frame: int = 3, solver_iterations: int = 20,
-                 erp: float = 0.2, warm_starting: bool = True,
+                 warm_starting: bool = True,
                  broadphase: str = "sap", auto_sleep: bool = False,
-                 sleep_linear_threshold: float = 0.05,
-                 sleep_angular_threshold: float = 0.08,
-                 sleep_time: float = 0.5,
                  linear_damping: float = 0.02,
                  angular_damping: float = 0.05,
-                 max_contacts_per_pair: int = 4,
                  world_bounds: float = 500.0,
                  ccd: bool = True):
         # Any 3-sequence is accepted; the kernels read a Vec3.
@@ -48,16 +50,11 @@ class WorldConfig:
         self.dt = dt
         self.substeps_per_frame = substeps_per_frame
         self.solver_iterations = solver_iterations
-        self.erp = erp
         self.warm_starting = warm_starting
         self.broadphase = broadphase
         self.auto_sleep = auto_sleep
-        self.sleep_linear_threshold = sleep_linear_threshold
-        self.sleep_angular_threshold = sleep_angular_threshold
-        self.sleep_time = sleep_time
         self.linear_damping = linear_damping
         self.angular_damping = angular_damping
-        self.max_contacts_per_pair = max_contacts_per_pair
         self.world_bounds = world_bounds
         self.ccd = ccd
 
@@ -87,10 +84,8 @@ class WorldConfig:
     @staticmethod
     def field_names() -> tuple:
         return ("gravity", "dt", "substeps_per_frame", "solver_iterations",
-                "erp", "warm_starting", "broadphase", "auto_sleep",
-                "sleep_linear_threshold", "sleep_angular_threshold",
-                "sleep_time", "linear_damping", "angular_damping",
-                "max_contacts_per_pair", "world_bounds", "ccd")
+                "warm_starting", "broadphase", "auto_sleep",
+                "linear_damping", "angular_damping", "world_bounds", "ccd")
 
 
 class World:
@@ -474,16 +469,15 @@ class World:
         return False
 
     def _update_sleep(self, island, dt: float):
-        cfg = self.config
         quiet = all(
-            (b.linear_velocity.length() < cfg.sleep_linear_threshold
-             and b.angular_velocity.length() < cfg.sleep_angular_threshold)
+            (b.linear_velocity.length() < SLEEP_LINEAR_THRESHOLD
+             and b.angular_velocity.length() < SLEEP_ANGULAR_THRESHOLD)
             for b in island.bodies
         )
         if quiet:
             for b in island.bodies:
                 b.sleep_timer += dt
-                if b.sleep_timer >= cfg.sleep_time:
+                if b.sleep_timer >= SLEEP_TIME:
                     b.sleeping = True
                     b.linear_velocity = Vec3()
                     b.angular_velocity = Vec3()

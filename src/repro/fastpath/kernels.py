@@ -9,6 +9,7 @@ times each layer from outside) is what a step runs.
 from __future__ import annotations
 
 from ..collision import BROADPHASES
+from ..dynamics.joints import ERP
 from ..engine import scalar
 from . import bodies, cloth, joints, narrowphase, rows, solver
 from .broadphase import VectorSweepAndPrune
@@ -37,11 +38,10 @@ def build_rows(world, islands, dt: float):
     lib = solver._native()
     if lib is None:
         return scalar.build_rows(world, islands, dt)
-    cfg = world.config
     pack = rows.build_contact_rows(
-        islands, lib, dt, cfg.erp,
-        world._impulse_cache if cfg.warm_starting else None)
-    joints.build_joint_rows(pack, dt, cfg.erp)
+        islands, lib, dt, ERP,
+        world._impulse_cache if world.config.warm_starting else None)
+    joints.build_joint_rows(pack, dt, ERP)
     return pack
 
 

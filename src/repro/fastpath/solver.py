@@ -28,7 +28,8 @@ from types import SimpleNamespace
 
 from ..collision.narrowphase import Contact
 from ..dynamics.islands import Island
-from ..dynamics.joints import BallJoint, ContactJoint, FixedJoint, HingeJoint
+from ..dynamics.joints import (ERP, BallJoint, ContactJoint, FixedJoint,
+                               HingeJoint)
 from ..dynamics.solver import SolveStats
 from ..math3d import Mat3, Quaternion, Vec3
 
@@ -301,7 +302,7 @@ def _canary_agrees(lib) -> bool:
     from ..engine import scalar
     from . import joints, rows
 
-    dt, erp = 0.01, 0.2
+    dt = 0.01
 
     def velocities(bodies):
         return [c.hex() for body in bodies
@@ -320,14 +321,14 @@ def _canary_agrees(lib) -> bool:
 
     def oracle(bodies, islands, cache):
         world = SimpleNamespace(
-            config=SimpleNamespace(erp=erp, warm_starting=True),
+            config=SimpleNamespace(warm_starting=True),
             _impulse_cache=cache)
         built = scalar.build_rows(world, islands, dt)
         return built, velocities(bodies)
 
     def native(bodies, islands, cache):
-        pack = rows.build_contact_rows(islands, lib, dt, erp, cache)
-        joints.build_joint_rows(pack, dt, erp)
+        pack = rows.build_contact_rows(islands, lib, dt, ERP, cache)
+        joints.build_joint_rows(pack, dt, ERP)
         # Every canary body is an endpoint, so every one has a slot.
         at = [BODY_COLS * pack.slot_of[body] for body in bodies]
         return pack, [c.hex() for o in at for c in pack.slots[o:o + 6]]

@@ -9,23 +9,21 @@ from .faults import (
     FaultSchedule,
 )
 from .guard import (
-    DEFAULT_LADDER,
+    LADDER,
     HealthEvent,
     HealthReport,
     StepWatchdog,
     Violation,
-    WatchdogConfig,
 )
 
 __all__ = [
     "WorldSnapshot",
     "SnapshotMismatchError",
     "StepWatchdog",
-    "WatchdogConfig",
     "HealthReport",
     "HealthEvent",
     "Violation",
-    "DEFAULT_LADDER",
+    "LADDER",
     "FaultSchedule",
     "FaultInjector",
     "Fault",

@@ -13,9 +13,9 @@ suite — which makes snapshots the substrate for watchdog rollback,
 pause/resume, replay, and (later) distributed sharding.
 
 The snapshot payload is JSON-native from the moment of capture
-(``dict``/``list``/scalars only), so ``to_json``/``from_json`` is a pure
-serialization concern: Python's ``repr``-based float formatting
-round-trips every finite ``float64`` exactly.
+(``dict``/``list``/scalars only), so ``json.dumps(snapshot.to_dict())``
+is lossless: Python's ``repr``-based float formatting round-trips every
+finite ``float64`` exactly.
 
 Bodies and geoms created *after* a capture (cannon shells, for example)
 are removed on restore, and the global uid counters are rewound so
@@ -202,7 +202,7 @@ class WorldSnapshot:
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
         """A deep, independent copy of the JSON-native payload."""
-        return json.loads(self.to_json())
+        return json.loads(json.dumps(self.data))
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorldSnapshot":
@@ -220,22 +220,6 @@ class WorldSnapshot:
             raise SnapshotMismatchError(
                 f"snapshot keys: missing {missing}, unknown {unknown}")
         return cls(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorldSnapshot":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "WorldSnapshot":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     # -- introspection --------------------------------------------------
     def __eq__(self, other) -> bool:

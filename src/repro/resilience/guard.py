@@ -34,61 +34,29 @@ from __future__ import annotations
 import numpy as np
 
 from ..math3d import Vec3
-from ..profiling import FrameReport
 from .checkpoint import WorldSnapshot
 
-DEFAULT_LADDER = (
+#: The degradation ladder, in the order its rungs are tried.
+LADDER = (
     "double_iterations",
     "half_dt",
     "clamp_velocities",
     "quarantine",
 )
 
-
-class WatchdogConfig:
-    """Thresholds and the degradation ladder for the step watchdog."""
-
-    def __init__(self, energy_gain_factor: float = 8.0,
-                 energy_gain_min: float = 1.0e5,
-                 penetration_limit: float = 1.0,
-                 residual_limit: float = 100.0,
-                 max_speed: float = 50.0,
-                 max_angular_speed: float = 64.0,
-                 ladder=DEFAULT_LADDER):
-        # Energy violation: post > factor * (pre + min). The ``min``
-        # floor tolerates legitimate injections (cannon muzzle energy,
-        # fracture debris) without tripping the guard.
-        self.energy_gain_factor = energy_gain_factor
-        self.energy_gain_min = energy_gain_min
-        self.penetration_limit = penetration_limit
-        self.residual_limit = residual_limit
-        self.max_speed = max_speed
-        self.max_angular_speed = max_angular_speed
-        self.ladder = tuple(ladder)
-        self._check_ladder()
-
-    def to_dict(self) -> dict:
-        """JSON-native form (ladder as a list); the watchdog half of
-        the :class:`repro.api.SessionSpec` wire format."""
-        return {
-            "energy_gain_factor": self.energy_gain_factor,
-            "energy_gain_min": self.energy_gain_min,
-            "penetration_limit": self.penetration_limit,
-            "residual_limit": self.residual_limit,
-            "max_speed": self.max_speed,
-            "max_angular_speed": self.max_angular_speed,
-            "ladder": list(self.ladder),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WatchdogConfig":
-        return cls(**data)
-
-    def _check_ladder(self):
-        for rung in self.ladder:
-            if rung not in DEFAULT_LADDER:
-                raise ValueError(f"unknown ladder rung {rung!r}; known: "
-                                 f"{DEFAULT_LADDER}")
+# Energy violation: post > ENERGY_GAIN_FACTOR * (pre + ENERGY_GAIN_MIN).
+# The floor tolerates legitimate injections (cannon muzzle energy,
+# fracture debris) without tripping the guard.
+ENERGY_GAIN_FACTOR = 8.0
+ENERGY_GAIN_MIN = 1.0e5  # J
+#: Deepest narrowphase contact a step may leave, in metres.
+PENETRATION_LIMIT = 1.0
+#: Worst island PGS residual (final-iteration impulse delta).
+RESIDUAL_LIMIT = 100.0
+#: Speed caps of the ``clamp_velocities`` rung (m/s, rad/s); 4x either
+#: marks a body as an energy-runaway offender.
+MAX_SPEED = 50.0
+MAX_ANGULAR_SPEED = 64.0
 
 
 class Violation:
@@ -190,9 +158,8 @@ class HealthReport:
 class StepWatchdog:
     """Wraps ``world.step()`` with validate / rollback / degrade."""
 
-    def __init__(self, world, config: WatchdogConfig = None):
+    def __init__(self, world):
         self.world = world
-        self.config = config if config is not None else WatchdogConfig()
         self.health = HealthReport()
         self.quarantined_uids = set()
 
@@ -215,7 +182,7 @@ class StepWatchdog:
 
         event = HealthEvent(snapshot.data["step_index"],
                             world.frame_index, violations)
-        for rung in self.config.ladder:
+        for rung in LADDER:
             snapshot.restore(world)
             event.retries += 1
             getattr(self, "_rung_" + rung)(driver, violations, event)
@@ -233,10 +200,6 @@ class StepWatchdog:
                 report.health = HealthReport()
             report.health.append(event)
         return event
-
-    def step_frame(self, driver=None) -> FrameReport:
-        """One guarded rendered frame."""
-        return self.world.step_frame(driver, self.step)
 
     def _plain_step(self, driver):
         if driver is not None:
@@ -260,7 +223,6 @@ class StepWatchdog:
 
     def _check(self, pre_energy: float):
         world = self.world
-        cfg = self.config
         violations = []
 
         bad_uids = [b.uid for b in world.bodies
@@ -277,8 +239,7 @@ class StepWatchdog:
                 f"components non-finite", bad_uids))
         else:
             post_energy = self._total_energy()
-            threshold = cfg.energy_gain_factor * (
-                pre_energy + cfg.energy_gain_min)
+            threshold = ENERGY_GAIN_FACTOR * (pre_energy + ENERGY_GAIN_MIN)
             if world.last_blast_bodies == 0 and post_energy > threshold:
                 violations.append(Violation(
                     "energy_runaway",
@@ -286,33 +247,32 @@ class StepWatchdog:
                     f"{post_energy:.3g} J with no active explosion",
                     self._energy_offenders()))
 
-        if world.last_max_penetration > cfg.penetration_limit:
+        if world.last_max_penetration > PENETRATION_LIMIT:
             violations.append(Violation(
                 "penetration_runaway",
                 f"max penetration {world.last_max_penetration:.3g} m "
-                f"exceeds {cfg.penetration_limit} m",
+                f"exceeds {PENETRATION_LIMIT} m",
                 world.last_penetration_uids))
 
         worst = (0.0, ())
         for residual, uids in world.last_island_residuals:
-            if residual > cfg.residual_limit and residual > worst[0]:
+            if residual > RESIDUAL_LIMIT and residual > worst[0]:
                 worst = (residual, uids)
         if worst[0] > 0.0:
             violations.append(Violation(
                 "solver_divergence",
                 f"PGS residual {worst[0]:.3g} exceeds "
-                f"{cfg.residual_limit}", worst[1]))
+                f"{RESIDUAL_LIMIT}", worst[1]))
         return violations
 
     def _energy_offenders(self):
-        cfg = self.config
         out = []
         for body in self.world.bodies:
             if body.is_static or not body.is_finite():
                 continue
-            if (body.linear_velocity.length() > 4.0 * cfg.max_speed
+            if (body.linear_velocity.length() > 4.0 * MAX_SPEED
                     or body.angular_velocity.length()
-                    > 4.0 * cfg.max_angular_speed):
+                    > 4.0 * MAX_ANGULAR_SPEED):
                 out.append(body.uid)
         return out
 
@@ -365,17 +325,16 @@ class StepWatchdog:
         self._plain_step(driver)
 
     def _clamp_velocities(self):
-        cfg = self.config
         for body in self.world.bodies:
             if body.is_static or not body.enabled:
                 continue
             if not body.is_finite():
                 continue
             speed = body.linear_velocity.length()
-            if speed > cfg.max_speed:
+            if speed > MAX_SPEED:
                 body.linear_velocity = body.linear_velocity * (
-                    cfg.max_speed / speed)
+                    MAX_SPEED / speed)
             spin = body.angular_velocity.length()
-            if spin > cfg.max_angular_speed:
+            if spin > MAX_ANGULAR_SPEED:
                 body.angular_velocity = body.angular_velocity * (
-                    cfg.max_angular_speed / spin)
+                    MAX_ANGULAR_SPEED / spin)

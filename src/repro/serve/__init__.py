@@ -40,13 +40,12 @@ from .protocol import (BackpressureError, ServeError,
                        UnknownVerbError, WorkerError)
 from .routing import RoutingTable, shard_for
 from .service import SimService, serve_tcp
-from .shard import ShardOptions, ShardWorker
+from .shard import ShardWorker
 
 __all__ = [
     "SimCluster",
     "SimService",
     "serve_tcp",
-    "ShardOptions",
     "ShardWorker",
     "RoutingTable",
     "shard_for",

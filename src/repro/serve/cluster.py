@@ -31,7 +31,7 @@ import threading
 
 from . import protocol
 from .routing import RoutingTable
-from .shard import ShardOptions, shard_main
+from .shard import shard_main
 
 
 def _pick_start_method() -> str:
@@ -47,15 +47,12 @@ class SimCluster:
     table; see the module docstring."""
 
     def __init__(self, n_shards: int = 2, backlog: int = 64,
-                 request_timeout: float = 120.0,
-                 shard_options: ShardOptions = None):
+                 request_timeout: float = 120.0):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         self.n_shards = n_shards
         self.request_timeout = request_timeout
         self.routing = RoutingTable(n_shards)
-        options = shard_options if shard_options is not None \
-            else ShardOptions()
 
         ctx = multiprocessing.get_context(_pick_start_method())
         self._inboxes = [ctx.Queue(maxsize=backlog)
@@ -64,7 +61,7 @@ class SimCluster:
         self._procs = [
             ctx.Process(target=shard_main,
                         args=(shard_id, self._inboxes[shard_id],
-                              self._outbox, options),
+                              self._outbox),
                         daemon=True, name=f"repro-shard-{shard_id}")
             for shard_id in range(n_shards)
         ]

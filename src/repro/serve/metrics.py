@@ -25,23 +25,27 @@ def now() -> float:
     return time.perf_counter()
 
 
-class FrameTimeHistogram:
-    """Log-spaced latency histogram over (lo_seconds, hi_seconds).
+#: Every frame-time histogram has the same shape, so any two merge:
+#: ``HISTOGRAM_BUCKETS`` log-spaced buckets over
+#: [``HISTOGRAM_LO``, ``HISTOGRAM_HI``) seconds, 10µs .. 100s — frame
+#: times from a trivial 10-body world to a pathological quarantine
+#: candidate all land inside.
+HISTOGRAM_LO = 1e-5
+HISTOGRAM_HI = 100.0
+HISTOGRAM_BUCKETS = 64
+_LOG_LO = math.log(HISTOGRAM_LO)
+_SCALE = HISTOGRAM_BUCKETS / (math.log(HISTOGRAM_HI) - _LOG_LO)
 
-    64 buckets spanning 10µs .. 100s by default — frame times from a
-    trivial 10-body world to a pathological quarantine candidate all
-    land inside. Records are O(1); percentile estimates interpolate
-    within the bucket, which is plenty for p95 dashboards.
+
+class FrameTimeHistogram:
+    """Log-spaced latency histogram of the module's fixed shape.
+
+    Records are O(1); percentile estimates interpolate within the
+    bucket, which is plenty for p95 dashboards.
     """
 
-    def __init__(self, lo: float = 1e-5, hi: float = 100.0,
-                 buckets: int = 64):
-        self.lo = lo
-        self.hi = hi
-        self.bucket_count = buckets
-        self._log_lo = math.log(lo)
-        self._scale = buckets / (math.log(hi) - self._log_lo)
-        self.counts = [0] * (buckets + 2)  # +underflow, +overflow
+    def __init__(self):
+        self.counts = [0] * (HISTOGRAM_BUCKETS + 2)  # +under, +overflow
         self.total = 0
         self.sum = 0.0
         self.max = 0.0
@@ -53,19 +57,21 @@ class FrameTimeHistogram:
             self.max = seconds
         self.counts[self._bucket(seconds)] += 1
 
-    def _bucket(self, seconds: float) -> int:
-        if seconds < self.lo:
+    @staticmethod
+    def _bucket(seconds: float) -> int:
+        if seconds < HISTOGRAM_LO:
             return 0
-        if seconds >= self.hi:
-            return self.bucket_count + 1
-        k = int((math.log(seconds) - self._log_lo) * self._scale)
-        return min(k, self.bucket_count - 1) + 1
+        if seconds >= HISTOGRAM_HI:
+            return HISTOGRAM_BUCKETS + 1
+        k = int((math.log(seconds) - _LOG_LO) * _SCALE)
+        return min(k, HISTOGRAM_BUCKETS - 1) + 1
 
-    def _bucket_bounds(self, index: int):
+    @staticmethod
+    def _bucket_bounds(index: int):
         """(lo, hi) seconds of interior bucket ``index`` (1-based)."""
-        step = 1.0 / self._scale
-        lo = math.exp(self._log_lo + (index - 1) * step)
-        hi = math.exp(self._log_lo + index * step)
+        step = 1.0 / _SCALE
+        lo = math.exp(_LOG_LO + (index - 1) * step)
+        hi = math.exp(_LOG_LO + index * step)
         return lo, hi
 
     def percentile(self, p: float) -> float:
@@ -79,8 +85,8 @@ class FrameTimeHistogram:
                 continue
             if seen + count >= rank:
                 if index == 0:
-                    return self.lo
-                if index == self.bucket_count + 1:
+                    return HISTOGRAM_LO
+                if index == HISTOGRAM_BUCKETS + 1:
                     return self.max
                 lo, hi = self._bucket_bounds(index)
                 frac = (rank - seen) / count
@@ -93,9 +99,6 @@ class FrameTimeHistogram:
         return self.sum / self.total if self.total else 0.0
 
     def merge(self, other: "FrameTimeHistogram"):
-        if (other.lo, other.hi, other.bucket_count) != \
-                (self.lo, self.hi, self.bucket_count):
-            raise ValueError("histogram shapes differ; cannot merge")
         for index, count in enumerate(other.counts):
             self.counts[index] += count
         self.total += other.total
@@ -106,15 +109,13 @@ class FrameTimeHistogram:
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
         return {
-            "lo": self.lo, "hi": self.hi,
-            "buckets": self.bucket_count,
             "counts": list(self.counts),
             "total": self.total, "sum": self.sum, "max": self.max,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameTimeHistogram":
-        hist = cls(data["lo"], data["hi"], data["buckets"])
+        hist = cls()
         hist.counts = list(data["counts"])
         hist.total = data["total"]
         hist.sum = data["sum"]

@@ -13,7 +13,7 @@ Graceful degradation is per session:
 
 * sessions with a watchdog spec step under the rollback ladder;
 * sessions whose frames run persistently slow are *quarantined* — they
-  step only every ``quarantine_backoff``-th round at degraded FPS (so
+  step only every ``QUARANTINE_BACKOFF``-th round at degraded FPS (so
   they stop lengthening everyone's round), returning once they sustain
   fast frames again;
 * the bounded inbox turns overload into a typed
@@ -33,18 +33,14 @@ from .metrics import ShardMetrics, now
 
 #: How long an idle worker blocks on its inbox before looking again.
 IDLE_POLL_SECONDS = 0.02
-
-
-class ShardOptions:
-    """Worker tuning knobs (picklable; travels to spawned workers)."""
-
-    def __init__(self, slow_frame_seconds: float = 0.25,
-                 quarantine_after: int = 3, release_after: int = 2,
-                 quarantine_backoff: int = 4):
-        self.slow_frame_seconds = slow_frame_seconds
-        self.quarantine_after = quarantine_after
-        self.release_after = release_after
-        self.quarantine_backoff = max(1, quarantine_backoff)
+#: A frame slower than this counts towards quarantine.
+SLOW_FRAME_SECONDS = 0.25
+#: Consecutive slow frames that quarantine a session.
+QUARANTINE_AFTER = 3
+#: Consecutive fast probe frames that release it.
+RELEASE_AFTER = 2
+#: A quarantined session steps only every this-many-th frame round.
+QUARANTINE_BACKOFF = 4
 
 
 class SessionRuntime:
@@ -64,9 +60,8 @@ class SessionRuntime:
 class ShardWorker:
     """The per-process service loop; see module docstring."""
 
-    def __init__(self, shard_id: int, options: ShardOptions = None):
+    def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        self.options = options if options is not None else ShardOptions()
         self.sessions = {}  # session_id -> SessionRuntime
         self.metrics = ShardMetrics(shard_id)
         self.round_index = 0
@@ -221,8 +216,8 @@ class ShardWorker:
         """Advance every stepping session by one rendered frame."""
         self.round_index += 1
         # Degraded cadence: a quarantined session gets a probe frame
-        # every ``quarantine_backoff`` rounds.
-        probing = self.round_index % self.options.quarantine_backoff == 0
+        # every ``QUARANTINE_BACKOFF`` rounds.
+        probing = self.round_index % QUARANTINE_BACKOFF == 0
         # A finished step job runs the commands queued behind it, and a
         # destroy among them leaves ``self.sessions``: iterate a copy.
         for runtime in list(self.sessions.values()):
@@ -260,20 +255,19 @@ class ShardWorker:
 
     def _update_quarantine(self, runtime: SessionRuntime,
                            seconds: float):
-        opts = self.options
-        if seconds > opts.slow_frame_seconds:
+        if seconds > SLOW_FRAME_SECONDS:
             runtime.slow_streak += 1
             runtime.fast_streak = 0
         else:
             runtime.fast_streak += 1
             runtime.slow_streak = 0
         if not runtime.quarantined \
-                and runtime.slow_streak >= opts.quarantine_after:
+                and runtime.slow_streak >= QUARANTINE_AFTER:
             runtime.quarantined = True
             runtime.fast_streak = 0
             self.metrics.count("quarantines")
         elif runtime.quarantined \
-                and runtime.fast_streak >= opts.release_after:
+                and runtime.fast_streak >= RELEASE_AFTER:
             runtime.quarantined = False
             runtime.slow_streak = 0
             self.metrics.count("quarantine_releases")
@@ -293,9 +287,9 @@ class ShardWorker:
         }
 
 
-def shard_main(shard_id: int, inbox, outbox, options=None):
+def shard_main(shard_id: int, inbox, outbox):
     """Process entry point (top-level so spawn can pickle it)."""
-    worker = ShardWorker(shard_id, options)
+    worker = ShardWorker(shard_id)
     try:
         worker.run(inbox, outbox)
     except KeyboardInterrupt:

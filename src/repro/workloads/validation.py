@@ -15,6 +15,11 @@ import numpy as np
 
 from ..collision import collide
 
+#: Deepest contact, and worst ball-type anchor drift, that a valid
+#: world may show (metres); beyond either the report carries a note.
+PENETRATION_TOLERANCE = 0.15
+JOINT_TOLERANCE = 0.08
+
 
 class ValidationReport:
     def __init__(self):
@@ -50,15 +55,12 @@ class ValidationReport:
         return f"ValidationReport({self.summary()})"
 
 
-def validate_world(world, bounds: float = None,
-                   penetration_tolerance: float = 0.15,
-                   joint_tolerance: float = 0.08,
-                   health=None) -> ValidationReport:
+def validate_world(world, health=None) -> ValidationReport:
     """``health`` (a ``repro.resilience.HealthReport``) folds a guarded
-    run's incident log into the verdict: unrecovered incidents fail."""
+    run's incident log into the verdict: unrecovered incidents fail.
+    A body escapes once it leaves the world's ``config.world_bounds``."""
     report = ValidationReport()
-    if bounds is None:
-        bounds = world.config.world_bounds
+    bounds = world.config.world_bounds
 
     # Debris authored for not-yet-triggered prefracture starts disabled
     # by design; don't count it against the run.
@@ -97,10 +99,10 @@ def validate_world(world, bounds: float = None,
             if math.isfinite(contact.depth):
                 report.max_penetration = max(report.max_penetration,
                                              contact.depth)
-    if report.max_penetration > penetration_tolerance:
+    if report.max_penetration > PENETRATION_TOLERANCE:
         report.notes.append(
             f"max penetration {report.max_penetration:.4f} m exceeds"
-            f" tolerance {penetration_tolerance} m")
+            f" tolerance {PENETRATION_TOLERANCE} m")
 
     # Joint drift: positional error of ball-type anchors.
     for joint in world.joints:
@@ -110,10 +112,10 @@ def validate_world(world, bounds: float = None,
         if anchor_error is not None:
             drift = anchor_error()
             report.max_joint_drift = max(report.max_joint_drift, drift)
-    if report.max_joint_drift > joint_tolerance:
+    if report.max_joint_drift > JOINT_TOLERANCE:
         report.notes.append(
             f"max joint drift {report.max_joint_drift:.4f} m exceeds"
-            f" tolerance {joint_tolerance} m")
+            f" tolerance {JOINT_TOLERANCE} m")
 
     for k, cloth in enumerate(world.cloths):
         bad = int((~np.isfinite(cloth.positions)).sum())

@@ -22,7 +22,7 @@ def spec(name="periodic", **kw):
 class TestSessionSpec:
     def test_json_round_trip(self):
         original = spec("explosions", seed=7,
-                        config=WorldConfig(gravity=(0.0, -5.0, 0.0)),
+                        config={"gravity": [0.0, -5.0, 0.0]},
                         watchdog=True,
                         faults=[{"step": 4, "kind": "huge_impulse",
                                  "persistent": False}])

@@ -12,7 +12,8 @@ from repro.resilience import (
     Fault,
     FaultSchedule,
     FAULT_KINDS,
-    WatchdogConfig,
+    LADDER,
+    guard,
 )
 from repro.workloads import BENCHMARKS, validate_world
 
@@ -42,7 +43,7 @@ class TestFaultsTriggerAndRecover:
         assert len(run.health) >= 1, "watchdog never triggered"
         assert run.health.unrecovered == 0
         rungs = run.health.rungs_fired()
-        assert rungs and all(r in WatchdogConfig().ladder for r in rungs)
+        assert rungs and all(r in LADDER for r in rungs)
         report = validate_world(run.world, health=run.health)
         assert report.ok, report.summary()
 
@@ -71,13 +72,11 @@ class TestEscalationLadder:
                            frames=10)
         assert run.health.rungs_fired() == ["double_iterations"]
 
-    def test_half_dt_rung_fires_when_first_offered(self):
-        cfg = WatchdogConfig(ladder=("half_dt", "clamp_velocities",
-                                     "quarantine"))
+    def test_half_dt_rung_fires_when_first_offered(self, monkeypatch):
+        monkeypatch.setattr(guard, "LADDER", LADDER[1:])
         schedule = FaultSchedule([Fault(6, "huge_impulse")])
         run = run_scenario(SessionSpec("explosions", scale=0.08, seed=1,
-                                       watchdog=True, watchdog_config=cfg,
-                                       faults=schedule),
+                                       watchdog=True, faults=schedule),
                            frames=10)
         assert run.health.rungs_fired() == ["half_dt"]
         assert run.health.unrecovered == 0
@@ -165,7 +164,7 @@ class TestNumpyBackendWatchdog:
         assert len(run.health) >= 1, "watchdog never triggered"
         assert run.health.unrecovered == 0
         rungs = run.health.rungs_fired()
-        assert rungs and all(r in WatchdogConfig().ladder for r in rungs)
+        assert rungs and all(r in LADDER for r in rungs)
         report = validate_world(run.world, health=run.health)
         assert report.ok, report.summary()
 

@@ -7,11 +7,13 @@ round-trip unchanged. The watchdog stays silent on healthy runs and the
 pruning/joint-skip fixes hold.
 """
 
+import json
 import math
 
 import pytest
 
 from repro.api import Session, SessionSpec
+from repro.collision import Geom
 from repro.dynamics import Body
 from repro.engine import World, WorldConfig
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
@@ -110,22 +112,20 @@ class TestSnapshotSerialization:
         _drive(world, driver, 5)
         return world, driver, WorldSnapshot.capture(world)
 
+    @staticmethod
+    def _through_json(snapshot):
+        return WorldSnapshot.from_dict(
+            json.loads(json.dumps(snapshot.to_dict())))
+
     def test_json_round_trip_is_lossless(self):
         _, _, snapshot = self._snapshot()
-        again = WorldSnapshot.from_json(snapshot.to_json())
-        assert again == snapshot
+        assert self._through_json(snapshot) == snapshot
 
     def test_json_restored_snapshot_replays_identically(self):
         world, driver, snapshot = self._snapshot()
         reference = _record(world, driver, 6)
-        WorldSnapshot.from_json(snapshot.to_json()).restore(world)
+        self._through_json(snapshot).restore(world)
         assert _record(world, driver, 6) == reference
-
-    def test_save_load_file(self, tmp_path):
-        world, driver, snapshot = self._snapshot()
-        path = tmp_path / "ckpt.json"
-        snapshot.save(path)
-        assert WorldSnapshot.load(path) == snapshot
 
     def test_restore_into_wrong_world_raises(self):
         _, _, snapshot = self._snapshot()
@@ -134,7 +134,6 @@ class TestSnapshotSerialization:
             snapshot.restore(other)
 
     def test_dict_payload_is_json_native(self):
-        import json
         _, _, snapshot = self._snapshot()
         json.dumps(snapshot.to_dict())  # must not need a custom encoder
 
@@ -184,12 +183,35 @@ class TestSnapshotPayloadCheck:
             WorldSnapshot.from_dict(snap)
 
 
+class TestStaleCheckpoint:
+    """A payload whose spec carries a key this version does not know —
+    a removed top-level entry, a removed config field — is refused
+    before any world is built, naming the key."""
+
+    STALE = {"watchdog_config": {"watchdog_config": None},
+             "erp": {"config": {"erp": 0.2}}}
+
+    @pytest.mark.parametrize("key", sorted(STALE))
+    def test_session_restore_refuses_unknown_spec_key(
+            self, checkpointed, monkeypatch, key):
+        _, payload = checkpointed
+
+        def build(*args, **kwargs):
+            raise AssertionError("a world was built")
+        monkeypatch.setattr(Session, "_build", build)
+        counters = (Body._next_uid, Geom._next_uid)
+        with pytest.raises(TypeError, match=key):
+            Session.restore({**payload,
+                             "spec": {**payload["spec"], **self.STALE[key]}})
+        assert (Body._next_uid, Geom._next_uid) == counters
+
+
 class TestWatchdogHealthyRun:
     def test_clean_run_records_no_incidents(self):
         world, driver = get_benchmark("periodic").build(scale=0.1, seed=1)
         guard = StepWatchdog(world)
         for _ in range(3):
-            guard.step_frame(driver)
+            world.step_frame(driver, guard.step)
         assert len(guard.health) == 0
         assert guard.health.unrecovered == 0
         # health only attaches to the frame report when an incident

@@ -9,11 +9,11 @@ import pytest
 
 from repro.api import Session, SessionSpec
 from repro.serve import (BackpressureError, FrameTimeHistogram,
-                         RoutingTable, SessionExistsError, ShardOptions,
+                         RoutingTable, SessionExistsError,
                          ShardTimeoutError, ShardWorker, SimService,
                          UnknownSessionError, WorkerError,
                          merge_snapshots, serve_tcp, shard_for)
-from repro.serve import protocol
+from repro.serve import protocol, shard
 
 
 def spec(name="periodic", **kw):
@@ -112,30 +112,32 @@ class TestProtocol:
 
 
 # -- units: quarantine ladder -------------------------------------------
+SLOW = 2 * shard.SLOW_FRAME_SECONDS
+FAST = shard.SLOW_FRAME_SECONDS / 10
+
+
 class TestQuarantineLadder:
     def test_streaks_drive_quarantine_and_release(self):
-        from repro.serve.shard import SessionRuntime
-        worker = ShardWorker(0, ShardOptions(slow_frame_seconds=0.1,
-                                             quarantine_after=2,
-                                             release_after=2))
-        runtime = SessionRuntime("s", session=None)
-        worker._update_quarantine(runtime, 0.5)
-        assert not runtime.quarantined
-        worker._update_quarantine(runtime, 0.5)
+        worker = ShardWorker(0)
+        runtime = shard.SessionRuntime("s", session=None)
+        for _ in range(shard.QUARANTINE_AFTER - 1):
+            worker._update_quarantine(runtime, SLOW)
+            assert not runtime.quarantined
+        worker._update_quarantine(runtime, SLOW)
         assert runtime.quarantined
-        worker._update_quarantine(runtime, 0.01)
-        assert runtime.quarantined
-        worker._update_quarantine(runtime, 0.01)
+        for _ in range(shard.RELEASE_AFTER - 1):
+            worker._update_quarantine(runtime, FAST)
+            assert runtime.quarantined
+        worker._update_quarantine(runtime, FAST)
         assert not runtime.quarantined
         assert worker.metrics.counters["quarantines"] == 1
         assert worker.metrics.counters["quarantine_releases"] == 1
 
     def test_slow_streak_resets_on_fast_frame(self):
-        from repro.serve.shard import SessionRuntime
-        worker = ShardWorker(0, ShardOptions(slow_frame_seconds=0.1,
-                                             quarantine_after=3))
-        runtime = SessionRuntime("s", session=None)
-        for seconds in (0.5, 0.5, 0.01, 0.5, 0.5):
+        worker = ShardWorker(0)
+        runtime = shard.SessionRuntime("s", session=None)
+        streak = [SLOW] * (shard.QUARANTINE_AFTER - 1)
+        for seconds in streak + [FAST] + streak:
             worker._update_quarantine(runtime, seconds)
         assert not runtime.quarantined
 
@@ -145,6 +147,26 @@ class Outbox(list):
     """``outbox.put`` of a ``ShardWorker`` used without its process."""
 
     put = list.append
+
+
+def fake_clock(monkeypatch):
+    """Replace the shard's clock with one only drivers advance."""
+    clock = [0.0]
+    monkeypatch.setattr(shard, "now", lambda: clock[0])
+    return clock
+
+
+def timed_driver(session, clock, frame_seconds):
+    """Make each of ``session``'s frames read ``frame_seconds()`` on
+    the fake clock: its driver advances the clock every sub-step."""
+    substeps = session.world.config.substeps_per_frame
+    scene_driver = session._driver
+
+    def driver():
+        clock[0] += frame_seconds() / substeps
+        if scene_driver is not None:
+            scene_driver()
+    session._driver = driver
 
 
 class TestShardWorker:
@@ -227,38 +249,75 @@ class TestShardWorker:
         alone, and each session's histogram reads its own frames. The
         fake clock advances only inside each session's driver, so a
         frame's reading is exactly what that session's sub-steps cost."""
-        import repro.serve.shard as shard
-        clock = [0.0]
-        monkeypatch.setattr(shard, "now", lambda: clock[0])
-        worker = ShardWorker(0, ShardOptions(slow_frame_seconds=0.25,
-                                             quarantine_after=2))
+        clock = fake_clock(monkeypatch)
+        worker = ShardWorker(0)
         outbox = Outbox()
+        frames = shard.QUARANTINE_AFTER + 1
         for req_id, (sid, frame_seconds) in enumerate(
-                (("fast", 0.01), ("slow", 1.0))):
+                (("fast", FAST), ("slow", 4 * SLOW))):
             worker._dispatch(protocol.request(
                 req_id, "create", sid, spec=spec().to_dict()), outbox)
-            session = worker.sessions[sid].session
-            substeps = session.world.config.substeps_per_frame
-
-            def driver(scene_driver=session._driver,
-                       tick=frame_seconds / substeps):
-                clock[0] += tick
-                if scene_driver is not None:
-                    scene_driver()
-            session._driver = driver
+            timed_driver(worker.sessions[sid].session, clock,
+                         lambda seconds=frame_seconds: seconds)
             worker._dispatch(protocol.request(
-                10 + req_id, "step", sid, frames=4), outbox)
+                10 + req_id, "step", sid, frames=frames), outbox)
         while worker._has_step_work():
             worker._frame_round(outbox)
 
         assert worker.sessions["slow"].quarantined
         assert not worker.sessions["fast"].quarantined
         assert worker.metrics.counters["quarantines"] == 1
-        assert worker.metrics.counters["frames"] == 8
+        assert worker.metrics.counters["frames"] == 2 * frames
         p50 = {sid: summary["p50_s"] for sid, summary in
                worker.metrics.snapshot()["sessions"].items()}
-        assert p50["fast"] < 0.02
-        assert p50["slow"] > 0.5
+        assert p50["fast"] < 2 * FAST
+        assert p50["slow"] > 2 * SLOW
+
+    def test_slow_session_is_quarantined_but_completes(self, monkeypatch):
+        """A quarantined session steps only on probe rounds (every
+        ``QUARANTINE_BACKOFF``-th), still finishes its step job, and
+        is released after ``RELEASE_AFTER`` fast probe frames; its
+        fast shardmate steps every round throughout."""
+        clock = fake_clock(monkeypatch)
+        worker, outbox = ShardWorker(0), Outbox()
+        # Slow until one probe past quarantine, then fast: that probe
+        # and RELEASE_AFTER fast ones step quarantined, two more free.
+        slow_frames = [shard.QUARANTINE_AFTER + 1]
+        quarantined = 1 + shard.RELEASE_AFTER
+        frames = slow_frames[0] + shard.RELEASE_AFTER + 2
+        for req_id, (sid, frame_seconds) in enumerate(
+                (("other", lambda: FAST),
+                 ("slow", lambda: SLOW if slow_frames[0] > 0 else FAST))):
+            worker._dispatch(protocol.request(
+                req_id, "create", sid, spec=spec().to_dict()), outbox)
+            timed_driver(worker.sessions[sid].session, clock, frame_seconds)
+        worker._dispatch(protocol.request(2, "step", "slow",
+                                          frames=frames), outbox)
+        worker._dispatch(protocol.request(3, "step", "other",
+                                          frames=10 ** 6), outbox)
+        slow = worker.sessions["slow"]
+        stepped_in = []  # rounds in which "slow" stepped
+        while slow.step_job is not None:
+            before = slow.session.frame_index
+            worker._frame_round(outbox)
+            if slow.session.frame_index > before:
+                stepped_in.append(worker.round_index)
+                slow_frames[0] -= 1
+        # Every round until quarantine, then only probe rounds, then
+        # every round again once released.
+        first, probes, last = (
+            stepped_in[:shard.QUARANTINE_AFTER],
+            stepped_in[shard.QUARANTINE_AFTER:-2], stepped_in[-2:])
+        assert first == list(range(1, shard.QUARANTINE_AFTER + 1))
+        assert len(probes) == quarantined
+        assert all(r % shard.QUARANTINE_BACKOFF == 0 for r in probes)
+        assert last == [probes[-1] + 1, probes[-1] + 2]
+        reply = next(r for r in outbox if r["req_id"] == 2)
+        assert reply["result"]["frame_index"] == frames
+        assert worker.sessions["other"].session.frame_index \
+            == worker.round_index
+        assert worker.metrics.counters["quarantines"] == 1
+        assert worker.metrics.counters["quarantine_releases"] == 1
 
     def test_served_session_keeps_only_its_last_report(self):
         """A shard must not grow with uptime: nothing served reads a
@@ -358,6 +417,27 @@ class TestCluster:
 
         serve(scenario, n_shards=1)
 
+    @pytest.mark.parametrize("key", ("watchdog_config", "erp"))
+    def test_restore_of_a_stale_checkpoint_is_refused(self, key):
+        """A spec key this version does not know (a removed top-level
+        entry, a removed config field) fails only that restore."""
+        stale = {"watchdog_config": {"watchdog_config": None},
+                 "erp": {"config": {"erp": 0.2}}}[key]
+
+        async def scenario(service):
+            await service.create_session("a", spec(seed=0))
+            await service.create_session("b", spec(seed=1))
+            await service.step("a", frames=2)
+            payload = await service.checkpoint("a")
+            payload["spec"].update(stale)
+            with pytest.raises(WorkerError, match=f"TypeError.*{key}"):
+                await service.restore_session("c", payload)
+            assert (await service.step("b", frames=1))["frame_index"] == 1
+            with pytest.raises(UnknownSessionError):
+                await service.query("c")
+
+        serve(scenario, n_shards=1)
+
     def test_full_inbox_raises_backpressure(self):
         async def scenario(service):
             cluster = service.cluster
@@ -372,19 +452,6 @@ class TestCluster:
                                            timeout=120))
 
         serve(scenario, n_shards=1, backlog=1)
-
-    def test_slow_session_is_quarantined_but_completes(self):
-        async def scenario(service):
-            await service.create_session("slow", spec(seed=1))
-            result = await service.step("slow", frames=6)
-            assert result["frame_index"] == 6
-            assert result["quarantined"]
-            stats = await service.call("stats", shard_id=0)
-            assert stats["counters"]["quarantines"] >= 1
-
-        serve(scenario, n_shards=1, shard_options=ShardOptions(
-            slow_frame_seconds=0.0, quarantine_after=2,
-            quarantine_backoff=2))
 
     def test_watchdog_session_reports_events(self):
         faults = [{"step": 3, "kind": "huge_impulse",
