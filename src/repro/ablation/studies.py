@@ -39,6 +39,10 @@ from ..workloads import BENCHMARKS, validate_world
 __all__ = ["warmstart_study", "autosleep_study", "ccd_study",
            "broadphase_study", "ablation_matrix", "STUDIES"]
 
+#: The warm-start study's stack: boxes high, and sub-steps settled.
+STACK_HEIGHT = 6
+STACK_STEPS = 200
+
 
 def _ground(**cfg):
     w = World(WorldConfig(**cfg))
@@ -46,14 +50,16 @@ def _ground(**cfg):
     return w
 
 
-def _stack_error(warm, iterations, steps=200, height=6):
+def _stack_error(warm, iterations):
+    """Worst drift of a :data:`STACK_HEIGHT`-box stack after
+    :data:`STACK_STEPS` sub-steps."""
     w = _ground(warm_starting=warm, solver_iterations=iterations)
     boxes = []
-    for i in range(height):
+    for i in range(STACK_HEIGHT):
         b = Body(position=Vec3(0, 0.5 + 1.001 * i, 0))
         w.attach(b, Box.from_dimensions(1, 1, 1))
         boxes.append(b)
-    for _ in range(steps):
+    for _ in range(STACK_STEPS):
         w.step()
     return max(abs(b.position.y - (0.5 + i))
                for i, b in enumerate(boxes))
@@ -151,7 +157,7 @@ def broadphase_study():
     for name, bp in (
         ("brute-force", BruteForceBroadphase()),
         ("sweep-and-prune", SweepAndPrune()),
-        ("spatial-hash", SpatialHashBroadphase(cell_size=2.0)),
+        ("spatial-hash", SpatialHashBroadphase()),
     ):
         pairs = bp.pairs(geoms)
         found = {(a.gid, b.gid) for a, b in pairs}
@@ -202,8 +208,7 @@ def _matrix_run(workload, patch):
     return {
         "measured": measured,
         "fps": _modeled_fps(measured),
-        "row_updates": measured["island_processing"].get(
-            "row_updates", 0.0),
+        "row_updates": measured["island_processing"].get("row_updates"),
         "digest": session.state_digest(),
         "valid": validate_world(session.world,
                                 health=session.health).ok,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from ..arch import arbiter
 from ..arch.area import PAPER_POOL_CORES, fg_pool_area
 from ..arch.machine import (
-    CLOCK_HZ,
     KERNEL_FOR_PHASE,
     L2Partitioning,
     ParallaxConfig,
@@ -27,7 +26,7 @@ from ..profiling.instmix import (
     PHASE_MIX,
 )
 from ..profiling.report import PARALLEL_PHASES, PHASES, SERIAL_PHASES
-from .tables import BENCH_ORDER, format_table
+from .tables import BENCH_ORDER, STUDY_BENCHMARK, format_table
 
 MB = 1024 * 1024
 L2_SWEEP = [1 * MB, 2 * MB, 4 * MB, 8 * MB, 16 * MB, 32 * MB]
@@ -48,10 +47,9 @@ def _baseline_machine():
         ParallaxConfig(cg_cores=1, l2=L2Partitioning.shared(MB)))
 
 
-def _paper_machine(cg_cores=4):
+def _paper_machine():
     return ParallaxMachine(
-        ParallaxConfig(cg_cores=cg_cores,
-                       l2=L2Partitioning.paper_scheme()))
+        ParallaxConfig(cg_cores=4, l2=L2Partitioning.paper_scheme()))
 
 
 def _mb(size):
@@ -192,9 +190,9 @@ def fig6a(runs):
     return data, text
 
 
-def fig6b(runs, benchmark="mix"):
+def fig6b(runs):
     machine = _paper_machine()
-    report = runs[benchmark].measured
+    report = runs[STUDY_BENCHMARK].measured
     data, rows = {}, []
     for threads in (1, 2, 4, 8):
         data[threads] = machine.l2_miss_breakdown(report, threads)
@@ -203,7 +201,7 @@ def fig6b(runs, benchmark="mix"):
                      int(d["user"] + d["kernel"])])
     text = format_table(
         ["threads", "user misses", "kernel misses", "total"], rows,
-        title=f"Fig 6(b) — L2 misses vs threads ({benchmark})")
+        title=f"Fig 6(b) — L2 misses vs threads ({STUDY_BENCHMARK})")
     return data, text
 
 
@@ -313,8 +311,8 @@ def fig10a(runs):
 FIG10B_BUDGETS = (1.0, 0.32, 0.25, 0.125)
 
 
-def fig10b(runs, benchmark="mix"):
-    report = runs[benchmark].measured
+def fig10b(runs):
+    report = runs[STUDY_BENCHMARK].measured
     data, rows = {}, []
     for design in ALL_DESIGNS:
         machine = ParallaxMachine(ParallaxConfig(fg_design=design))
@@ -326,7 +324,8 @@ def fig10b(runs, benchmark="mix"):
                                 for b in FIG10B_BUDGETS])
     text = format_table(
         ["design"] + [f"{b * 100:g}%" for b in FIG10B_BUDGETS], rows,
-        title=f"Fig 10(b) — FG cores required for 30 FPS ({benchmark})")
+        title=f"Fig 10(b) — FG cores required for 30 FPS "
+              f"({STUDY_BENCHMARK})")
     return data, text
 
 
@@ -369,8 +368,7 @@ def table7(runs):
                 if task_cycles <= 0:
                     per_phase[phase] = float("inf")
                 elif not arbiter.bandwidth_feasible(
-                        pool, task_cycles, task_bytes, link,
-                        clock_hz=CLOCK_HZ):
+                        pool, task_cycles, task_bytes, link):
                     per_phase[phase] = float("inf")
                 else:
                     per_phase[phase] = arbiter.\

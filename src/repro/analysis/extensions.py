@@ -22,11 +22,12 @@ from ..profiling.instmix import (
     float_share,
 )
 from ..profiling.report import PARALLEL_PHASES, PHASES
-from .tables import format_table
+from .tables import STUDY_BENCHMARK, format_table
 
 MESSAGE_HEADER_BYTES = 32
 BATCH_ITERATIONS = 100
 PREFETCH_L2_BYTES = 1024 * 1024
+PREFETCH_DEPTH = 4  # lines fetched ahead of each miss
 
 
 def model2_feasibility(runs):
@@ -83,12 +84,13 @@ def protocol_overhead(runs):
     return data, text
 
 
-def prefetch_coverage(report, depth=4):
+def prefetch_coverage(report):
     """phase -> ``(misses, misses with prefetch, coverage)``: the
     phase's recorded touch trace replayed through an exact 1MB
     :class:`~repro.arch.cache.CacheSim` without and with a
-    next-``depth``-line prefetcher, and the fraction of misses the
-    prefetcher removed.  Phases that touch nothing are absent."""
+    next-:data:`PREFETCH_DEPTH`-line prefetcher, and the fraction of
+    misses the prefetcher removed.  Phases that touch nothing are
+    absent."""
     out = {}
     for phase in PHASES:
         blocks = [b for b, _p, _w in memtrace.expand(report, (phase,))]
@@ -96,15 +98,15 @@ def prefetch_coverage(report, depth=4):
             continue
         base = CacheSim(PREFETCH_L2_BYTES).run(blocks).misses
         pf = CacheSim(PREFETCH_L2_BYTES,
-                      prefetch_depth=depth).run(blocks).misses
+                      prefetch_depth=PREFETCH_DEPTH).run(blocks).misses
         out[phase] = (base, pf,
                       max(0, base - pf) / base if base else 0.0)
     return out
 
 
-def prefetch_study(runs, benchmark="mix", depth=4):
+def prefetch_study(runs):
     """Next-N-line prefetch coverage per phase on the touch trace."""
-    measured = prefetch_coverage(runs[benchmark].measured, depth)
+    measured = prefetch_coverage(runs[STUDY_BENCHMARK].measured)
     data, rows = {}, []
     for phase in PHASES:
         base, pf, coverage = measured.get(phase, (0, 0, 0.0))
@@ -112,15 +114,17 @@ def prefetch_study(runs, benchmark="mix", depth=4):
         if phase in measured:
             rows.append([phase, base, pf, f"{coverage * 100:.0f}%"])
     text = format_table(
-        ["phase", "misses", f"misses (+{depth}-line pf)", "coverage"],
+        ["phase", "misses", f"misses (+{PREFETCH_DEPTH}-line pf)",
+         "coverage"],
         rows,
-        title=f"Next-{depth}-line prefetch coverage ({benchmark})")
+        title=f"Next-{PREFETCH_DEPTH}-line prefetch coverage "
+              f"({STUDY_BENCHMARK})")
     return data, text
 
 
-def waypart_validation(runs, benchmark="mix"):
+def waypart_validation(runs):
     """Exact way-partitioned sim vs the stack-distance model."""
-    report = runs[benchmark].measured
+    report = runs[STUDY_BENCHMARK].measured
     data = waypart.validate(report)
     rows = [
         [phase, int(d["exact"]), int(d["model"]),
@@ -129,7 +133,7 @@ def waypart_validation(runs, benchmark="mix"):
     ]
     text = format_table(
         ["phase", "exact misses", "model misses", "rel err"], rows,
-        title=f"Way-partitioning model validation ({benchmark})")
+        title=f"Way-partitioning model validation ({STUDY_BENCHMARK})")
     return data, text
 
 

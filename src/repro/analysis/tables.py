@@ -48,6 +48,9 @@ BENCH_ORDER = (
     "periodic", "ragdoll", "continuous", "breakable",
     "deformable", "explosions", "highspeed", "mix",
 )
+#: The benchmark that the one-benchmark studies read: Fig. 6(b),
+#: Fig. 10(b), prefetch coverage and the way-partitioning check.
+STUDY_BENCHMARK = "mix"
 
 
 def _cell(value) -> str:

@@ -308,14 +308,6 @@ class Session:
 
     # -- observability --------------------------------------------------
     @property
-    def frame_index(self) -> int:
-        return self.world.frame_index
-
-    @property
-    def time(self) -> float:
-        return self.world.time
-
-    @property
     def health(self):
         """The watchdog's incident log, or None when unguarded."""
         return self._guard.health if self._guard is not None else None

@@ -14,7 +14,7 @@ from .arbiter import (
     tasks_in_flight_required,
 )
 from .area import area_mm2, fg_pool_area
-from .branch import PerfectPredictor, StaticPredictor, YagsPredictor
+from .branch import StaticPredictor, YagsPredictor
 from .cache import CacheSim, StackDistanceProfile
 from .interconnect import (
     HTX,
@@ -50,7 +50,6 @@ __all__ = [
     "PCIE",
     "ParallaxConfig",
     "ParallaxMachine",
-    "PerfectPredictor",
     "StackDistanceProfile",
     "StaticPredictor",
     "WayPartitionedCache",

@@ -22,6 +22,8 @@ __all__ = [
     "deal_round_robin",
 ]
 
+#: Core clock (Hz) of the CG and FG cores.
+CLOCK_HZ = 2e9
 ARBITER_LEVELS = 2
 ARBITER_HOP_CYCLES = 4
 
@@ -50,12 +52,12 @@ def tasks_in_flight_required(pool_cores: int, task_cycles: float,
 
 
 def bandwidth_feasible(pool_cores: int, task_cycles: float,
-                       task_bytes: float, interconnect: Interconnect,
-                       clock_hz: float = 2e9) -> bool:
+                       task_bytes: float,
+                       interconnect: Interconnect) -> bool:
     """Can the link feed every core its task operands continuously?"""
     if task_cycles <= 0:
         return False
-    tasks_per_second = clock_hz / task_cycles
+    tasks_per_second = CLOCK_HZ / task_cycles
     demand = pool_cores * task_bytes * tasks_per_second
     return demand <= interconnect.bandwidth_bytes
 
@@ -68,7 +70,7 @@ def deal_round_robin(demands, threads: int):
     return buckets
 
 
-def static_mapping_overhead(demands, threads: int = 4) -> float:
+def static_mapping_overhead(demands, threads: int) -> float:
     """Fractional time lost to static (deal-at-creation) mapping
     versus a perfectly flexible scheduler.
 

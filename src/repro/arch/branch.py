@@ -4,7 +4,8 @@ The paper's fine-grained cores keep a small YAGS predictor (a choice
 PHT plus tagged taken/not-taken exception caches) — big enough to learn
 the biased branches of the physics kernels, small enough to stay cheap.
 The shader-style design point drops prediction entirely (static
-not-taken), and the "limit" design point uses a perfect oracle.
+not-taken), and the "limit" design point never mispredicts (the
+pipeline model skips prediction for it, so it has no predictor here).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 __all__ = [
     "YagsPredictor",
     "StaticPredictor",
-    "PerfectPredictor",
     "make_predictor",
 ]
 
@@ -23,17 +23,24 @@ def _update_counter(value: int, taken: bool) -> int:
     return max(0, value - 1)
 
 
+#: YAGS table widths (bits): choice table, exception caches, tags and
+#: global history.
+CHOICE_BITS = 10
+CACHE_BITS = 8
+TAG_BITS = 6
+HISTORY_BITS = 8
+
+
 class YagsPredictor:
     """YAGS (Eden & Mudge): bimodal choice table with per-direction
     exception caches indexed by pc ^ global-history."""
 
-    def __init__(self, choice_bits: int = 10, cache_bits: int = 8,
-                 tag_bits: int = 6, history_bits: int = 8):
-        self.choice = [2] * (1 << choice_bits)
-        self.choice_mask = (1 << choice_bits) - 1
-        self.cache_mask = (1 << cache_bits) - 1
-        self.tag_mask = (1 << tag_bits) - 1
-        self.history_mask = (1 << history_bits) - 1
+    def __init__(self):
+        self.choice = [2] * (1 << CHOICE_BITS)
+        self.choice_mask = (1 << CHOICE_BITS) - 1
+        self.cache_mask = (1 << CACHE_BITS) - 1
+        self.tag_mask = (1 << TAG_BITS) - 1
+        self.history_mask = (1 << HISTORY_BITS) - 1
         # Exception caches: index -> (tag, 2-bit counter).
         self.t_cache = {}
         self.nt_cache = {}
@@ -104,27 +111,9 @@ class StaticPredictor:
         return 1.0 - self.mispredicts / self.lookups
 
 
-class PerfectPredictor:
-    """Oracle: never mispredicts (limit study)."""
-
-    def __init__(self):
-        self.lookups = 0
-        self.mispredicts = 0
-
-    def predict(self, pc: int) -> bool:  # pragma: no cover - oracle
-        return True
-
-    def update(self, pc: int, taken: bool):
-        self.lookups += 1
-
-    def accuracy(self) -> float:
-        return 1.0
-
-
 _PREDICTORS = {
     "yags": YagsPredictor,
     "static": StaticPredictor,
-    "perfect": PerfectPredictor,
 }
 
 

@@ -37,7 +37,7 @@ from ..profiling.report import PHASES
 BLOCK = 64
 
 # report -> (touch groups recorded when profiled,
-#            {(phase set, label_by_phase): StackDistanceProfile})
+#            {phase set: StackDistanceProfile})
 _profiles = weakref.WeakKeyDictionary()
 
 
@@ -54,7 +54,7 @@ class StackDistanceProfile:
 
     # -- building -------------------------------------------------------
     @classmethod
-    def from_report(cls, report, phases=None, label_by_phase=True):
+    def from_report(cls, report, phases=None):
         """Profile the pipeline-ordered trace of a FrameReport
         (memoised; ``phases`` is a set, ``None`` meaning all five)."""
         wanted = frozenset(PHASES if phases is None else phases)
@@ -62,12 +62,10 @@ class StackDistanceProfile:
         entry = _profiles.get(report)
         if entry is None or entry[0] != recorded:
             entry = _profiles[report] = (recorded, {})
-        key = (wanted, label_by_phase)
-        profile = entry[1].get(key)
+        profile = entry[1].get(wanted)
         if profile is None:
-            profile = entry[1][key] = cls.from_groups(
-                (phase if label_by_phase else "all", group)
-                for phase, group in memtrace.step_groups(report, wanted))
+            profile = entry[1][wanted] = cls.from_groups(
+                memtrace.step_groups(report, wanted))
         return profile
 
     @classmethod
@@ -163,23 +161,21 @@ class CacheSim:
         self.hits = 0
         self.misses = 0
         self.prefetch_hits = 0
-        self.per_label = {}
 
-    def _touch(self, block: int, insert_only: bool = False) -> bool:
+    def _touch(self, block: int) -> bool:
         s = self._sets[block % self.sets]
         try:
             s.remove(block)
             hit = True
         except ValueError:
             hit = False
-        if hit or not insert_only or len(s) < self.ways:
-            s.append(block)
-            if len(s) > self.ways:
-                evicted = s.pop(0)
-                self._prefetched.discard(evicted)
+        s.append(block)
+        if len(s) > self.ways:
+            evicted = s.pop(0)
+            self._prefetched.discard(evicted)
         return hit
 
-    def access(self, block: int, label=None) -> bool:
+    def access(self, block: int) -> bool:
         hit = self._touch(block)
         if hit and block in self._prefetched:
             self._prefetched.discard(block)
@@ -193,12 +189,9 @@ class CacheSim:
                                  block + 1 + self.prefetch_depth):
                     if not self._touch(nxt):
                         self._prefetched.add(nxt)
-        if label is not None:
-            stats = self.per_label.setdefault(label, [0, 0])
-            stats[0 if hit else 1] += 1
         return hit
 
-    def run(self, blocks, label=None):
+    def run(self, blocks):
         for block in blocks:
-            self.access(block, label)
+            self.access(block)
         return self

@@ -26,22 +26,16 @@ __all__ = [
 class Interconnect:
     """A link between the CG cores and the FG pool."""
 
-    __slots__ = ("name", "label", "round_trip_cycles",
-                 "bandwidth_bytes", "setup_seconds")
+    __slots__ = ("name", "label", "round_trip_cycles", "bandwidth_bytes")
 
-    def __init__(self, name, label, round_trip_cycles,
-                 bandwidth_bytes, setup_seconds=0.0):
+    def __init__(self, name, label, round_trip_cycles, bandwidth_bytes):
         self.name = name
         self.label = label
         self.round_trip_cycles = round_trip_cycles
         self.bandwidth_bytes = bandwidth_bytes
-        self.setup_seconds = setup_seconds
 
     def __repr__(self):
         return f"Interconnect({self.name})"
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        return self.setup_seconds + nbytes / self.bandwidth_bytes
 
 
 # Round trips in 2 GHz CG-core cycles.
@@ -50,12 +44,20 @@ ONCHIP_MESH = Interconnect(
     bandwidth_bytes=128e9)
 HTX = Interconnect(
     "htx", "HyperTransport socket", round_trip_cycles=240,
-    bandwidth_bytes=10.4e9, setup_seconds=1e-7)
+    bandwidth_bytes=10.4e9)
 PCIE = Interconnect(
     "pcie", "PCIe board", round_trip_cycles=2400,
-    bandwidth_bytes=2.0e9, setup_seconds=3e-6)
+    bandwidth_bytes=2.0e9)
 
 INTERCONNECTS = {ic.name: ic for ic in (ONCHIP_MESH, HTX, PCIE)}
+
+
+#: The simulated NoC: nodes per side, packets injected (one per cycle)
+#: and flits per packet (a node's ejection port drains one packet per
+#: FLITS cycles).
+NOC_SIDE = 8
+NOC_PACKETS = 512
+FLITS = 4
 
 
 def _route_step(x, y, dx, dy, n, torus):
@@ -75,30 +77,31 @@ def _route_step(x, y, dx, dy, n, torus):
     return x, (y + step) % n
 
 
-def simulate_noc(topology: str = "mesh", n: int = 8,
-                 packets: int = 512, inject_every: int = 1,
-                 hotspot: bool = False, flits: int = 4):
-    """Cycle-driven n x n NoC with one-packet-per-cycle links.
+def simulate_noc(topology: str, hotspot: bool = False):
+    """Cycle-driven :data:`NOC_SIDE` x :data:`NOC_SIDE` NoC with
+    one-packet-per-cycle links, carrying :data:`NOC_PACKETS` packets.
 
-    Traffic is a deterministic pseudo-random permutation stream; with
-    ``hotspot`` half the packets target the centre node. Each packet is
-    ``flits`` flits long, so a node's ejection port drains one packet
-    every ``flits`` cycles — converging hotspot traffic queues at the
-    destination while uniform traffic barely waits. Returns
+    Traffic is a deterministic pseudo-random permutation stream, one
+    packet injected per cycle; with ``hotspot`` half the packets target
+    the centre node. Each packet is :data:`FLITS` flits long, so a
+    node's ejection port drains one packet every :data:`FLITS` cycles —
+    converging hotspot traffic queues at the destination while uniform
+    traffic barely waits. Returns
     ``{"avg_latency", "max_latency", "delivered"}``.
     """
     torus = topology == "torus"
+    n = NOC_SIDE
     total = n * n
     centre = (n // 2) * n + n // 2
     flows = []
-    for i in range(packets):
+    for i in range(NOC_PACKETS):
         src = (i * 37 + 11) % total
         dst = (i * 53 + 29) % total
         if hotspot and i % 2 == 0:
             dst = centre
         if dst == src:
             dst = (dst + 1) % total
-        flows.append((i * inject_every, src, dst))
+        flows.append((i, src, dst))
 
     in_flight = []  # [inject_cycle, x, y, dx, dy]
     arrived = []
@@ -115,8 +118,7 @@ def simulate_noc(topology: str = "mesh", n: int = 8,
         # One packet per link per cycle: first-come-first-served on
         # each (from, to) link; later packets wanting the same link
         # stall. Packets at their destination contend for the node's
-        # ejection port, which serializes one packet per ``flits``
-        # cycles.
+        # ejection port, which serializes one packet per FLITS cycles.
         claimed = set()
         still = []
         for pkt in in_flight:
@@ -124,8 +126,8 @@ def simulate_noc(topology: str = "mesh", n: int = 8,
             if x == dx and y == dy:
                 free = eject_busy.get((dx, dy), 0)
                 if free <= cycle:
-                    eject_busy[(dx, dy)] = cycle + flits
-                    arrived.append(cycle + flits - t0)
+                    eject_busy[(dx, dy)] = cycle + FLITS
+                    arrived.append(cycle + FLITS - t0)
                 else:
                     still.append(pkt)
                 continue

@@ -46,6 +46,11 @@ _CATEGORY_OPS = {
     "other": "int",
 }
 
+#: Static branch sites per generated trace, and the trace generator's
+#: seed.
+BRANCH_SITES = 16
+TRACE_SEED = 0
+
 # Dependence/branch structure per kernel (see module docstring).
 KERNEL_TRACE_PARAMS = {
     "narrowphase": {"strands": 1, "bias": 0.72, "div_frac": 0.00,
@@ -71,21 +76,21 @@ PHASE_TRACE_PARAMS = {
 }
 
 
-def make_trace(mix, strands=2, n=4000, seed=0, bias=0.9,
-               div_frac=0.0, cross_frac=0.05, sites=16):
+def make_trace(mix, n, strands, bias, div_frac, cross_frac):
     """Generate ``n`` instructions with the given category mix.
 
     Dependences follow ``strands`` independent chains (instruction i
     joins strand ``i % strands`` and depends on that strand's previous
     instruction); ``cross_frac`` of instructions also pick up a second
     dependence on a random older instruction. Branches come from
-    ``sites`` static sites, each taken with probability ``bias``
-    (mirrored per site so some sites are biased not-taken).
+    :data:`BRANCH_SITES` static sites, each taken with probability
+    ``bias`` (mirrored per site so some sites are biased not-taken).
     """
-    rng = random.Random(seed)
+    rng = random.Random(TRACE_SEED)
     cats = list(mix.keys())
     weights = [mix[c] for c in cats]
-    site_bias = [bias if i % 4 else 1.0 - bias for i in range(sites)]
+    site_bias = [bias if i % 4 else 1.0 - bias
+                 for i in range(BRANCH_SITES)]
     trace = []
     last = [None] * max(1, strands)
     for i in range(n):
@@ -103,7 +108,7 @@ def make_trace(mix, strands=2, n=4000, seed=0, bias=0.9,
                 deps.append(other)
         pc, taken = 0, None
         if op == "branch":
-            site = rng.randrange(sites)
+            site = rng.randrange(BRANCH_SITES)
             pc = 0x1000 + site * 4
             taken = rng.random() < site_bias[site]
         trace.append(Instr(op, tuple(deps), pc, taken))
@@ -116,11 +121,11 @@ def make_trace(mix, strands=2, n=4000, seed=0, bias=0.9,
     return trace
 
 
-def kernel_trace(kernel: str, n: int = 4000, seed: int = 0):
+def kernel_trace(kernel: str, n: int):
     params = KERNEL_TRACE_PARAMS[kernel]
-    return make_trace(KERNEL_MIX[kernel], n=n, seed=seed, **params)
+    return make_trace(KERNEL_MIX[kernel], n=n, **params)
 
 
-def phase_trace(phase: str, n: int = 4000, seed: int = 0):
+def phase_trace(phase: str, n: int):
     params = PHASE_TRACE_PARAMS[phase]
-    return make_trace(PHASE_MIX[phase], n=n, seed=seed, **params)
+    return make_trace(PHASE_MIX[phase], n=n, **params)

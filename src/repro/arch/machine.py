@@ -23,6 +23,7 @@ from ..profiling.instmix import FG_KERNEL_SHARE, KERNEL_FOOTPRINTS
 from ..profiling.report import PARALLEL_PHASES, PHASES
 from ..profiling.tasks import phase_cg_speedup
 from . import arbiter, osmodel
+from .arbiter import CLOCK_HZ
 from .cache import StackDistanceProfile
 from .interconnect import ONCHIP_MESH, Interconnect
 from .pipeline import kernel_ipc, phase_ipc
@@ -36,8 +37,9 @@ __all__ = [
     "KERNEL_FOR_PHASE",
 ]
 
-CLOCK_HZ = 2e9
 FPS_TARGET = 30.0
+#: The CG cores' pipeline design point (``repro.arch.pipeline.DESIGNS``).
+CG_DESIGN = "desktop"
 
 L2_HIT_CYCLES = 15
 L2_HIT_EXPOSED = 0.35   # fraction of hit latency the OoO core eats
@@ -119,13 +121,11 @@ class L2Partitioning:
 class ParallaxConfig:
     """A machine design point."""
 
-    def __init__(self, cg_cores=1, l2=None, cg_design="desktop",
-                 fg_design=None, fg_cores=0,
+    def __init__(self, cg_cores=1, l2=None, fg_design=None, fg_cores=0,
                  interconnect: Interconnect = ONCHIP_MESH,
                  prefetch_coverage=None):
         self.cg_cores = cg_cores
         self.l2 = l2 if l2 is not None else L2Partitioning.shared(MB)
-        self.cg_design = cg_design
         self.fg_design = fg_design
         self.fg_cores = fg_cores
         self.interconnect = interconnect
@@ -192,7 +192,7 @@ class ParallaxMachine:
     def phase_cycles(self, report, phase, threads=1, l2_bytes=None):
         """Modeled CG cycles for one phase of one frame."""
         insts = report.phase_instructions()[phase]
-        ipc = phase_ipc(self.config.cg_design, phase)
+        ipc = phase_ipc(CG_DESIGN, phase)
         accesses, misses = self._phase_misses(report, phase, l2_bytes)
         cycles = (insts / ipc
                   + accesses * L2_HIT_CYCLES * L2_HIT_EXPOSED
@@ -261,8 +261,7 @@ class ParallaxMachine:
             return 0.0
         link = self.config.interconnect
         if not arbiter.bandwidth_feasible(
-                self.config.fg_cores, task_cycles, task_bytes, link,
-                clock_hz=CLOCK_HZ):
+                self.config.fg_cores, task_cycles, task_bytes, link):
             return 0.0
         required = arbiter.tasks_in_flight_required(
             self.config.fg_cores, task_cycles, link)

@@ -10,6 +10,8 @@ percent of a 30 FPS frame.
 
 from __future__ import annotations
 
+from .machine import FPS_TARGET
+
 __all__ = [
     "BYTES_PER_OBJECT",
     "BYTES_PER_PARTICLE",
@@ -55,6 +57,8 @@ def paper_example_seconds() -> float:
 
 
 def frame_budget_fraction(objects: int, particles: int = 0,
-                          cloth_vertices: int = 0,
-                          fps: float = 30.0) -> float:
-    return transfer_seconds(objects, particles, cloth_vertices) * fps
+                          cloth_vertices: int = 0) -> float:
+    """Share of a :data:`~repro.arch.machine.FPS_TARGET` frame the
+    transfer takes."""
+    return (transfer_seconds(objects, particles, cloth_vertices)
+            * FPS_TARGET)

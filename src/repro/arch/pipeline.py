@@ -92,8 +92,8 @@ def simulate_ipc(trace, design: CoreDesign, detail: bool = False):
     """Replay ``trace`` through the pipeline; returns IPC (or a stats
     dict when ``detail`` is set)."""
     n = len(trace)
-    predictor = make_predictor(design.predictor)
     perfect = design.predictor == "perfect"
+    predictor = None if perfect else make_predictor(design.predictor)
     width, in_order = design.width, design.in_order
     budget = {"int": design.int_units, "fp": design.fp_units,
               "mem": design.mem_ports}
@@ -176,15 +176,21 @@ def simulate_ipc(trace, design: CoreDesign, detail: bool = False):
     return ipc
 
 
+#: Instructions in the synthetic trace behind each memoised IPC.
+IPC_TRACE_LENGTH = 3000
+
+
 @lru_cache(maxsize=None)
-def kernel_ipc(design_name: str, kernel: str, n: int = 3000) -> float:
+def kernel_ipc(design_name: str, kernel: str) -> float:
     """IPC of one FG kernel on one design point (memoized)."""
     design = DESIGNS[design_name]
-    return simulate_ipc(kernels.kernel_trace(kernel, n=n), design)
+    return simulate_ipc(kernels.kernel_trace(kernel, n=IPC_TRACE_LENGTH),
+                        design)
 
 
 @lru_cache(maxsize=None)
-def phase_ipc(design_name: str, phase: str, n: int = 3000) -> float:
+def phase_ipc(design_name: str, phase: str) -> float:
     """IPC of one pipeline phase's CG code on one design (memoized)."""
     design = DESIGNS[design_name]
-    return simulate_ipc(kernels.phase_trace(phase, n=n), design)
+    return simulate_ipc(kernels.phase_trace(phase, n=IPC_TRACE_LENGTH),
+                        design)

@@ -22,20 +22,21 @@ from .cache import BLOCK, StackDistanceProfile
 
 __all__ = ["WayPartitionedCache", "model_misses", "validate"]
 
+#: Ways of the partitioned L2, and ``validate``'s split of them.
+WAYS = 12
+ALLOCATION = {"broadphase": 4, "narrowphase": 4, "island_creation": 4}
+
 
 class WayPartitionedCache:
     """Set-associative LRU cache with per-owner way allocation."""
 
-    def __init__(self, capacity_bytes: int, ways: int = 12,
-                 line: int = BLOCK, allocation=None):
+    def __init__(self, capacity_bytes: int, allocation):
         if not allocation:
             raise ValueError("allocation {owner: ways} required")
-        if sum(allocation.values()) > ways:
+        if sum(allocation.values()) > WAYS:
             raise ValueError("allocation exceeds total ways")
-        self.line = line
-        self.ways = ways
         self.allocation = dict(allocation)
-        self.sets = max(1, int(capacity_bytes) // (ways * line))
+        self.sets = max(1, int(capacity_bytes) // (WAYS * BLOCK))
         # Per set, per owner: block list in LRU order (MRU last).
         self._sets = [
             {owner: [] for owner in allocation}
@@ -66,32 +67,27 @@ class WayPartitionedCache:
         return self
 
 
-def model_misses(report, capacity_bytes: int, ways: int,
-                 allocation) -> dict:
+def model_misses(report, capacity_bytes: int, allocation) -> dict:
     """Stack-distance prediction of per-owner misses under
     way-partitioning: owner sees a private cache of its slice."""
     out = {}
     for owner, owner_ways in allocation.items():
         profile = StackDistanceProfile.from_report(
             report, phases=(owner,))
-        slice_bytes = capacity_bytes * owner_ways / ways
+        slice_bytes = capacity_bytes * owner_ways / WAYS
         out[owner] = profile.misses(slice_bytes, (owner,))
     return out
 
 
-def validate(report, capacity_bytes: int = 4 * 1024 * 1024,
-             ways: int = 12, allocation=None) -> dict:
-    """Exact vs model misses per owner; returns per-owner dicts with
-    ``exact``, ``model`` and ``relative_error``."""
-    if allocation is None:
-        allocation = {"broadphase": 4, "narrowphase": 4,
-                      "island_creation": 4}
-    sim = WayPartitionedCache(capacity_bytes, ways=ways,
-                              allocation=allocation)
-    sim.run_report(report, phases=allocation)
-    predicted = model_misses(report, capacity_bytes, ways, allocation)
+def validate(report, capacity_bytes: int = 4 * 1024 * 1024) -> dict:
+    """Exact vs model misses per owner under :data:`ALLOCATION`;
+    returns per-owner dicts with ``exact``, ``model`` and
+    ``relative_error``."""
+    sim = WayPartitionedCache(capacity_bytes, ALLOCATION)
+    sim.run_report(report, phases=ALLOCATION)
+    predicted = model_misses(report, capacity_bytes, ALLOCATION)
     out = {}
-    for owner in allocation:
+    for owner in ALLOCATION:
         exact = float(sim.misses[owner])
         model = float(predicted[owner])
         err = abs(exact - model) / max(exact, 1.0)

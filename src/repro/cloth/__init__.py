@@ -100,9 +100,6 @@ class Cloth:
     def num_constraints(self) -> int:
         return len(self._rest)
 
-    def pin(self, i: int, j: int):
-        self.pinned[self._vid(i, j)] = True
-
     # -- checkpointing --------------------------------------------------
     def snapshot_state(self) -> dict:
         """Vertex state as JSON-native data; ``tolist`` round-trips

@@ -127,17 +127,20 @@ class SweepAndPrune(_StatsMixin):
         return out
 
 
+#: Edge (m) of a :class:`SpatialHashBroadphase` grid cell.
+HASH_CELL = 2.0
+
+
 class SpatialHashBroadphase(_StatsMixin):
     """Uniform grid hash; good when object sizes are homogeneous."""
 
     name = "hash"
 
-    def __init__(self, cell_size: float = 2.0):
-        self.cell_size = cell_size
+    def __init__(self):
         self.tests = 0
 
     def _cells(self, box):
-        inv = 1.0 / self.cell_size
+        inv = 1.0 / HASH_CELL
         x0 = int(box.min.x * inv) if abs(box.min.x) < 1e8 else -1
         x1 = int(box.max.x * inv) if abs(box.max.x) < 1e8 else 1
         y0 = int(box.min.y * inv) if abs(box.min.y) < 1e8 else -1

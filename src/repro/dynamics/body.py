@@ -94,20 +94,11 @@ class Body:
         return lin + ang
 
     # -- accumulators ---------------------------------------------------
-    def apply_force(self, force: Vec3, at_point: Vec3 = None):
-        self.force = self.force + force
-        if at_point is not None:
-            self.torque = self.torque + (at_point - self.position).cross(
-                force)
-
-    def apply_impulse(self, impulse: Vec3, at_point: Vec3 = None):
+    def apply_impulse(self, impulse: Vec3):
+        """A linear impulse through the centre of mass."""
         if self.inv_mass == 0.0:
             return
         self.linear_velocity = self.linear_velocity + impulse * self.inv_mass
-        if at_point is not None:
-            r = at_point - self.position
-            self.angular_velocity = self.angular_velocity + (
-                self.inv_inertia_world * r.cross(impulse))
 
     def clear_accumulators(self):
         self.force = Vec3()

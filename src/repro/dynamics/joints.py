@@ -4,7 +4,8 @@ All joints follow the same protocol the island processor drives:
 
 * ``begin_step(dt, erp)`` — build and return this step's :class:`Row`
   list (world-space Jacobians + Baumgarte bias from position error);
-* ``end_step(dt)`` — inspect accumulated impulses (breakage checks).
+* ``end_step(dt)`` — inspect accumulated impulses (only a
+  :class:`FixedJoint` with a ``break_threshold`` does: breakage).
 
 ``solve_island`` (and the numpy kernel set's C sweep) leaves each
 solved constraint's accumulated impulses on it as ``impulses``, one per
@@ -32,7 +33,6 @@ class Joint:
         self.body_b = body_b
         self.enabled = True
         self.broken = False
-        self.break_threshold = None  # max reaction force (N), or None
         self.impulses = ()  # per row, from the last solve
 
     def connected_bodies(self):
@@ -42,21 +42,7 @@ class Joint:
         raise NotImplementedError
 
     def end_step(self, dt: float):
-        if self.break_threshold is None or self.broken:
-            return
-        force = self.reaction_force(dt)
-        if force > self.break_threshold:
-            self.broken = True
-            self.enabled = False
-
-    def reaction_force(self, dt: float) -> float:
-        """Magnitude of the constraint force from the last solve."""
-        if dt <= 0.0 or not self.impulses:
-            return 0.0
-        total = 0.0
-        for impulse in self.impulses:
-            total += impulse * impulse
-        return math.sqrt(total) / dt
+        """Nothing to inspect: only a :class:`FixedJoint` can break."""
 
     # -- checkpointing --------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -175,9 +161,6 @@ class ContactJoint(Joint):
             v = v - self.body_b.linear_velocity \
                 - self.body_b.angular_velocity.cross(rb)
         return n.dot(v)
-
-    def end_step(self, dt: float):
-        pass  # contacts never break
 
 
 class BallJoint(Joint):
@@ -305,6 +288,13 @@ class FixedJoint(Joint):
             ))
         self.rows = rows
         return rows
+
+    def end_step(self, dt: float):
+        if self.break_threshold is None or self.broken:
+            return
+        if self.reaction_force(dt) > self.break_threshold:
+            self.broken = True
+            self.enabled = False
 
     def reaction_force(self, dt: float) -> float:
         # Breakage judged on the translational (shear/tension) rows only,

@@ -11,22 +11,25 @@ from __future__ import annotations
 
 from ..math3d import Vec3
 
+#: Sub-steps a blast lasts; its impulse is split evenly across them.
+BLAST_STEPS = 3
+#: A prefractured object shatters when a blast sphere comes this close.
+TRIGGER_MARGIN = 0.5
+
 
 class Explosion:
     """A blast sphere: radial impulses with linear falloff, alive for
-    ``duration_steps`` sub-steps."""
+    :data:`BLAST_STEPS` sub-steps."""
 
-    def __init__(self, center: Vec3, radius: float, impulse: float,
-                 duration_steps: int = 3):
+    def __init__(self, center: Vec3, radius: float, impulse: float):
         self.center = center
         self.radius = radius
         self.impulse = impulse
-        self.duration_steps = duration_steps
         self.age = 0
 
     @property
     def active(self) -> bool:
-        return self.age < self.duration_steps
+        return self.age < BLAST_STEPS
 
     def __repr__(self):
         state = "active" if self.active else "spent"
@@ -40,14 +43,13 @@ class Explosion:
             "center": [c.x, c.y, c.z],
             "radius": self.radius,
             "impulse": self.impulse,
-            "duration_steps": self.duration_steps,
             "age": self.age,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "Explosion":
         boom = cls(Vec3(*state["center"]), state["radius"],
-                   state["impulse"], state["duration_steps"])
+                   state["impulse"])
         boom.age = state["age"]
         return boom
 
@@ -57,7 +59,7 @@ class Explosion:
             return 0
         affected = 0
         # Impulse is split across the blast's duration.
-        step_impulse = self.impulse / self.duration_steps
+        step_impulse = self.impulse / BLAST_STEPS
         for body in world.bodies:
             if body.is_static or not body.enabled:
                 continue
@@ -75,7 +77,7 @@ class Explosion:
             if pf.broken:
                 continue
             delta = pf.body.position - self.center
-            if delta.length() < self.radius + pf.trigger_margin:
+            if delta.length() < self.radius + TRIGGER_MARGIN:
                 pf.fracture(delta.normalized()
                             * (self.impulse / max(pf.total_mass(), 1e-6)))
         self.age += 1
@@ -90,13 +92,12 @@ class PrefracturedBody:
     the fracture happens.
     """
 
-    def __init__(self, world, body, geom, debris, trigger_margin=0.5):
+    def __init__(self, world, body, geom, debris):
         self.world = world
         self.body = body
         self.geom = geom
         self.debris = list(debris)  # [(body, geom), ...]
         self.broken = False
-        self.trigger_margin = trigger_margin
         for debris_body, _ in self.debris:
             debris_body.enabled = False
 

@@ -101,7 +101,7 @@ def trajectory_divergence(rec_a: TrajectoryRecorder,
     return float(np.abs(a - b).max())
 
 
-def assert_deterministic(build, frames: int = 4) -> float:
+def assert_deterministic(build, frames: int) -> float:
     """Run ``build()`` -> (world, driver) twice; assert bit-identical
     trajectories and return the (zero) max divergence."""
     recordings = []

@@ -66,10 +66,6 @@ class WorldConfig:
         out["gravity"] = list(self.gravity)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorldConfig":
-        return cls(**data)
-
     def replace(self, **overrides) -> "WorldConfig":
         """A copy with ``overrides`` applied (``dataclasses.replace``
         idiom; raises on unknown field names)."""
@@ -189,17 +185,16 @@ class World:
         self.cloths.append(cloth)
         return cloth
 
-    def explode(self, center: Vec3, radius: float, impulse: float,
-                duration_steps: int = 3) -> Explosion:
-        boom = Explosion(center, radius, impulse, duration_steps)
+    def explode(self, center: Vec3, radius: float,
+                impulse: float) -> Explosion:
+        boom = Explosion(center, radius, impulse)
         self.explosions.append(boom)
         return boom
 
-    def add_prefractured(self, body, geom, debris,
-                         trigger_margin: float = 0.5) -> PrefracturedBody:
+    def add_prefractured(self, body, geom, debris) -> PrefracturedBody:
         """Register a prefractured object; debris bodies/geoms must
         already be attached (they get disabled until fracture)."""
-        pf = PrefracturedBody(self, body, geom, debris, trigger_margin)
+        pf = PrefracturedBody(self, body, geom, debris)
         self.prefractured.append(pf)
         self._prefracture_registry.append(pf)
         return pf

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from ..math3d import Vec3
 
+#: Half-extent of the box that bounds an unbounded shape (a plane).
+EVERYTHING = 1e9
+
 
 class AABB:
     __slots__ = ("min", "max")
@@ -17,8 +20,9 @@ class AABB:
         return AABB(center - half, center + half)
 
     @staticmethod
-    def everything(bound: float = 1e9) -> "AABB":
-        return AABB(Vec3(-bound, -bound, -bound), Vec3(bound, bound, bound))
+    def everything() -> "AABB":
+        b = EVERYTHING
+        return AABB(Vec3(-b, -b, -b), Vec3(b, b, b))
 
     def __repr__(self):
         return f"AABB({self.min!r}, {self.max!r})"
@@ -29,28 +33,6 @@ class AABB:
             and self.min.y <= o.max.y and o.min.y <= self.max.y
             and self.min.z <= o.max.z and o.min.z <= self.max.z
         )
-
-    def contains_point(self, p: Vec3) -> bool:
-        return (
-            self.min.x <= p.x <= self.max.x
-            and self.min.y <= p.y <= self.max.y
-            and self.min.z <= p.z <= self.max.z
-        )
-
-    def merged(self, o: "AABB") -> "AABB":
-        return AABB(
-            Vec3(min(self.min.x, o.min.x), min(self.min.y, o.min.y),
-                 min(self.min.z, o.min.z)),
-            Vec3(max(self.max.x, o.max.x), max(self.max.y, o.max.y),
-                 max(self.max.z, o.max.z)),
-        )
-
-    def expanded(self, margin: float) -> "AABB":
-        m = Vec3(margin, margin, margin)
-        return AABB(self.min - m, self.max + m)
-
-    def center(self) -> Vec3:
-        return (self.min + self.max) * 0.5
 
     def extents(self) -> Vec3:
         return self.max - self.min

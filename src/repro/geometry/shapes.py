@@ -7,8 +7,6 @@ tag (kept as a string so new shapes slot in without an enum migration).
 
 from __future__ import annotations
 
-import math
-
 from ..math3d import Transform, Vec3
 from .aabb import AABB
 
@@ -45,9 +43,6 @@ class Sphere(Shape):
 
     def bounding_radius(self) -> float:
         return self.radius
-
-    def volume(self) -> float:
-        return (4.0 / 3.0) * math.pi * self.radius ** 3
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "radius": self.radius}
@@ -94,10 +89,6 @@ class Box(Shape):
 
     def bounding_radius(self) -> float:
         return self.half_extents.length()
-
-    def volume(self) -> float:
-        h = self.half_extents
-        return 8.0 * h.x * h.y * h.z
 
     def to_dict(self) -> dict:
         h = self.half_extents

@@ -25,10 +25,6 @@ class Mat3:
             self.m = [[float(v) for v in row] for row in rows]
 
     @staticmethod
-    def identity() -> "Mat3":
-        return Mat3()
-
-    @staticmethod
     def zero() -> "Mat3":
         return Mat3([[0.0] * 3 for _ in range(3)])
 
@@ -42,9 +38,6 @@ class Mat3:
     def __repr__(self) -> str:
         return f"Mat3({self.m})"
 
-    def row(self, i: int) -> Vec3:
-        return Vec3(*self.m[i])
-
     def column(self, j: int) -> Vec3:
         return Vec3(self.m[0][j], self.m[1][j], self.m[2][j])
 
@@ -56,31 +49,15 @@ class Mat3:
             [m[0][2], m[1][2], m[2][2]],
         ])
 
-    def __add__(self, o: "Mat3") -> "Mat3":
-        return Mat3([
-            [self.m[i][j] + o.m[i][j] for j in range(3)] for i in range(3)
-        ])
-
-    def __sub__(self, o: "Mat3") -> "Mat3":
-        return Mat3([
-            [self.m[i][j] - o.m[i][j] for j in range(3)] for i in range(3)
-        ])
-
-    def scaled(self, s: float) -> "Mat3":
-        return Mat3([[v * s for v in row] for row in self.m])
-
     @overload
     def __mul__(self, other: Vec3) -> Vec3: ...
 
     @overload
     def __mul__(self, other: "Mat3") -> "Mat3": ...
 
-    @overload
-    def __mul__(self, other: float) -> "Mat3": ...
-
     def __mul__(
             self,
-            other: Union[Vec3, "Mat3", float]) -> Union[Vec3, "Mat3"]:
+            other: Union[Vec3, "Mat3"]) -> Union[Vec3, "Mat3"]:
         if isinstance(other, Vec3):
             m = self.m
             return Vec3(
@@ -88,16 +65,14 @@ class Mat3:
                 m[1][0] * other.x + m[1][1] * other.y + m[1][2] * other.z,
                 m[2][0] * other.x + m[2][1] * other.y + m[2][2] * other.z,
             )
-        if isinstance(other, Mat3):
-            a, b = self.m, other.m
-            return Mat3([
-                [
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ])
-        return self.scaled(float(other))
+        a, b = self.m, other.m
+        return Mat3([
+            [
+                a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+                for j in range(3)
+            ]
+            for i in range(3)
+        ])
 
     def determinant(self) -> float:
         m = self.m
@@ -129,13 +104,4 @@ class Mat3:
                 (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv,
                 (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv,
             ],
-        ])
-
-    @staticmethod
-    def skew(v: Vec3) -> "Mat3":
-        """Cross-product matrix: skew(v) * w == v.cross(w)."""
-        return Mat3([
-            [0.0, -v.z, v.y],
-            [v.z, 0.0, -v.x],
-            [-v.y, v.x, 0.0],
         ])

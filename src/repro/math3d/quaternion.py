@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 from .mat3 import Mat3
 from .vec3 import Vec3
@@ -34,15 +33,6 @@ class Quaternion:
         half = 0.5 * angle
         s = math.sin(half)
         return Quaternion(math.cos(half), axis.x * s, axis.y * s, axis.z * s)
-
-    @staticmethod
-    def from_euler(yaw: float = 0.0, pitch: float = 0.0,
-                   roll: float = 0.0) -> "Quaternion":
-        """Y (yaw) * X (pitch) * Z (roll) composition."""
-        q = Quaternion.from_axis_angle(Vec3(0, 1, 0), yaw)
-        q = q * Quaternion.from_axis_angle(Vec3(1, 0, 0), pitch)
-        q = q * Quaternion.from_axis_angle(Vec3(0, 0, 1), roll)
-        return q.normalized()
 
     def __repr__(self) -> str:
         return (f"Quaternion({self.w:.6g}, {self.x:.6g}, {self.y:.6g},"
@@ -116,13 +106,3 @@ class Quaternion:
             self.y + dq.y * half,
             self.z + dq.z * half,
         ).normalized()
-
-    def to_axis_angle(self) -> Tuple[Vec3, float]:
-        q = self.normalized()
-        if q.w < 0:
-            q = Quaternion(-q.w, -q.x, -q.y, -q.z)
-        s = math.sqrt(max(0.0, 1.0 - q.w * q.w))
-        angle = 2.0 * math.acos(min(1.0, q.w))
-        if s < 1e-9:
-            return Vec3(1, 0, 0), 0.0
-        return Vec3(q.x / s, q.y / s, q.z / s), angle

@@ -20,10 +20,6 @@ class Transform:
         self.orientation = (orientation if orientation is not None
                             else Quaternion.identity())
 
-    @staticmethod
-    def identity() -> "Transform":
-        return Transform()
-
     def __repr__(self) -> str:
         return f"Transform({self.position!r}, {self.orientation!r})"
 
@@ -38,7 +34,3 @@ class Transform:
     def apply_vector(self, local_vec: Vec3) -> Vec3:
         """Rotate only (directions, not points)."""
         return self.orientation.rotate(local_vec)
-
-    def inverse(self) -> "Transform":
-        inv_q = self.orientation.conjugate()
-        return Transform(inv_q.rotate(-self.position), inv_q)

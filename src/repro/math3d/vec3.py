@@ -56,9 +56,6 @@ class Vec3:
         yield self.y
         yield self.z
 
-    def __getitem__(self, i: int) -> float:
-        return (self.x, self.y, self.z)[i]
-
     def __eq__(self, o: object) -> bool:
         return (
             isinstance(o, Vec3)
@@ -81,10 +78,6 @@ class Vec3:
             self.z * o.x - self.x * o.z,
             self.x * o.y - self.y * o.x,
         )
-
-    def scale(self, o: "Vec3") -> "Vec3":
-        """Component-wise product."""
-        return Vec3(self.x * o.x, self.y * o.y, self.z * o.z)
 
     # -- norms ----------------------------------------------------------
     def length_squared(self) -> float:

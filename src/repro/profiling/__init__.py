@@ -26,7 +26,6 @@ from .report import (
     mean_report,
 )
 from .tasks import (
-    cg_speedup,
     phase_cg_speedup,
     phase_schedule_length,
 )
@@ -51,6 +50,5 @@ __all__ = [
     "task_cost_narrowphase",
     "task_cost_island",
     "task_cost_cloth",
-    "cg_speedup",
     "phase_schedule_length",
 ]

@@ -35,7 +35,7 @@ def phase_instructions(phase: str, counters) -> float:
     total = 0.0
     for (p, counter), weight in INSTRUCTION_WEIGHTS.items():
         if p == phase:
-            total += counters.get(counter, 0.0) * weight
+            total += counters.get(counter) * weight
     return total
 
 

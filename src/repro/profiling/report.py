@@ -54,8 +54,8 @@ class TouchGroup:
 class PhaseCounters(dict):
     """Counter dict that reads absent keys as zero."""
 
-    def get(self, key, default=0.0):
-        return dict.get(self, key, default)
+    def get(self, key):
+        return dict.get(self, key, 0.0)
 
     def add(self, key, amount=1.0):
         self[key] = dict.get(self, key, 0.0) + amount
@@ -130,21 +130,6 @@ class FrameReport:
     def summary(self):
         return {phase: dict(counters)
                 for phase, counters in self.phases.items()}
-
-    def merge(self, other: "FrameReport"):
-        for phase in PHASES:
-            self.phases[phase].merge(other.phases[phase])
-        for phase in PARALLEL_PHASES:
-            self.tasks[phase].extend(other.tasks[phase])
-            self.step_tasks[phase].extend(other.step_tasks[phase])
-        self.step_touches.extend(other.step_touches)
-        self.steps += max(1, other.steps)
-        if other.health is not None:
-            if self.health is None:
-                self.health = other.health
-            else:
-                self.health.events.extend(other.health.events)
-        return self
 
     # -- instruction-cost view ------------------------------------------
     def phase_instructions(self) -> dict:

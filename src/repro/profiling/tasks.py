@@ -9,8 +9,6 @@ schedule bound.
 
 from __future__ import annotations
 
-from .report import PARALLEL_PHASES, SERIAL_PHASES
-
 
 def phase_schedule_length(tasks, cores: int) -> float:
     """Lower-bound makespan of scheduling ``tasks`` on ``cores``."""
@@ -44,33 +42,3 @@ def phase_cg_speedup(report, phase: str, cores: int) -> float:
             worst = s
     return worst if worst is not None else 1.0
 
-
-def cg_speedup(report, cores: int) -> float:
-    """Frame speedup on ``cores`` ideal CG cores (Amdahl over phases).
-
-    For one parallel phase with sub-step barriers see
-    :func:`phase_cg_speedup`.
-    """
-    if cores < 1:
-        raise ValueError("cores must be >= 1")
-    insts = report.phase_instructions()
-    serial_time = sum(insts[p] for p in SERIAL_PHASES)
-    one_core = serial_time + sum(insts[p] for p in PARALLEL_PHASES)
-    if one_core <= 0.0:
-        return 1.0
-    sched = serial_time
-    for phase in PARALLEL_PHASES:
-        tasks = report.tasks.get(phase, [])
-        if tasks:
-            # Normalize task costs so they sum to the phase's modeled
-            # instructions (tasks are modeled with the same weights but
-            # may not cover warm-start bookkeeping etc.).
-            task_total = sum(tasks)
-            scale = insts[phase] / task_total if task_total > 0 else 0.0
-            sched += phase_schedule_length(
-                [t * scale for t in tasks], cores)
-        else:
-            sched += insts[phase] / cores
-    if sched <= 0.0:
-        return 1.0
-    return one_core / sched

@@ -43,15 +43,9 @@ class Humanoid:
         self.bodies = bodies
         self.joints = joints
 
-    def all_bodies(self):
-        return list(self.bodies.values())
-
     def set_velocity(self, velocity: Vec3):
         for body in self.bodies.values():
             body.linear_velocity = velocity.copy()
-
-    def center(self) -> Vec3:
-        return self.bodies["torso"].position
 
 
 def make_humanoid(world, base: Vec3, density: float = 900.0) -> Humanoid:
@@ -201,10 +195,6 @@ class Car:
         for axle in self.axles:
             axle.set_motor(wheel_speed, max_force)
 
-    def speed(self) -> float:
-        return self.chassis.linear_velocity.length()
-
-
 def make_car(world, base: Vec3, heading: float = 0.0) -> Car:
     """A car resting on ``base`` pointing along its local +z rotated by
     ``heading`` around y."""
@@ -293,14 +283,18 @@ def scatter_obstacles(world, count: int, area: float = 50.0,
 # Cannon: periodic projectiles, optionally explosive
 
 
+#: An explosive shell's blast sphere: radius (m) and total impulse.
+BLAST_RADIUS = 2.5
+BLAST_IMPULSE = 900.0
+
+
 class Cannon:
     """Fires spheres from ``position`` toward ``target`` every
     ``period_steps`` sub-steps. Explosive shells detonate on contact."""
 
     def __init__(self, world, position: Vec3, target: Vec3,
                  speed: float = 30.0, period_steps: int = 20,
-                 explosive: bool = False, shell_radius: float = 0.18,
-                 blast_radius: float = 2.5, blast_impulse: float = 900.0):
+                 explosive: bool = False, shell_radius: float = 0.18):
         self.world = world
         self.position = position
         self.target = target
@@ -308,8 +302,6 @@ class Cannon:
         self.period_steps = period_steps
         self.explosive = explosive
         self.shell_radius = shell_radius
-        self.blast_radius = blast_radius
-        self.blast_impulse = blast_impulse
         self.steps = 0
         self.shells = []
         self.fired = 0
@@ -367,8 +359,8 @@ class Cannon:
             fallen = shell.position.y < self.shell_radius * 1.5
             if hit or fallen:
                 if self.explosive:
-                    self.world.explode(shell.position, self.blast_radius,
-                                       self.blast_impulse)
+                    self.world.explode(shell.position, BLAST_RADIUS,
+                                       BLAST_IMPULSE)
                     self.detonations += 1
                     shell.enabled = False
                 # Inert shells keep their momentum; either way the

@@ -143,7 +143,7 @@ class TestSessionGroup:
             twin = Session.create(twin_spec)
             twin.step(3)
             assert session.state_digest() == twin.state_digest()
-            assert session.frame_index == 3
+            assert session.world.frame_index == 3
             assert len(session.reports) == 3
 
     def test_group_rejects_duplicate_membership_unchanged(self):
@@ -156,7 +156,7 @@ class TestSessionGroup:
                 group.add(session)
             assert len(group) == 1
             group.step(1)
-            assert session.frame_index == 1
+            assert session.world.frame_index == 1
 
     def test_guarded_session_steps_solo_but_identically(self):
         guarded = Session.create(spec(watchdog=True))
@@ -205,5 +205,5 @@ def test_guarded_recorder_and_session_share_the_frame_loop():
                 for frame in recorder.frames]
 
     assert poses(recorded) == poses(served)
-    assert world.frame_index == session.frame_index == 3
+    assert world.frame_index == session.world.frame_index == 3
     assert len(guard.health) == len(session.health) >= 1

@@ -12,8 +12,11 @@ from repro.collision import (
     Geom,
     collide,
 )
+from repro.collision.ccd import BACKOFF, sweep_clamp
+from repro.collision.raycast import ray_heightfield
 from repro.dynamics import Body
-from repro.geometry import Box, Plane, Sphere
+from repro.engine import World
+from repro.geometry import Box, Heightfield, Plane, Sphere
 from repro.math3d import Quaternion, Transform, Vec3
 
 
@@ -161,3 +164,53 @@ class TestNarrowphase:
         bp = SweepAndPrune()
         bp.pairs(geoms)
         assert bp.tests >= 0
+
+
+class TestHeightfieldSweep:
+    """``ray_heightfield`` is the CCD sweep's only path for a fast body
+    over terrain: the body stops ``BACKOFF`` short of the surface along
+    its motion."""
+
+    RADIUS = 0.5
+
+    def _sweep(self, heights, start, motion):
+        world = World()
+        world.add_static_geom(Heightfield(20.0, heights))
+        body = Body(position=start)
+        world.attach(body, Sphere(self.RADIUS), density=500.0)
+        clamped = sweep_clamp(world, body, motion)
+        assert clamped is not None
+        return world.geoms[0].shape, clamped, motion.normalized()
+
+    def _assert_backoff_short(self, field, clamped, direction):
+        # The sphere's lowest point, moved on by BACKOFF, is on the
+        # surface (to the bisection's resolution).
+        lowest = clamped - Vec3(0.0, self.RADIUS, 0.0)
+        touch = lowest + direction * BACKOFF
+        assert abs(touch.y - field.height_at(touch.x, touch.z)) < 1e-5
+        assert lowest.y > field.height_at(lowest.x, lowest.z)
+
+    def test_flat_field_clamps_backoff_short(self):
+        field, clamped, direction = self._sweep(
+            [[0.0] * 3 for _ in range(3)], Vec3(0, 5, 0), Vec3(0, -12, 0))
+        self._assert_backoff_short(field, clamped, direction)
+        assert abs(clamped.y - (self.RADIUS + BACKOFF)) < 1e-5
+        assert clamped.x == 0.0 and clamped.z == 0.0
+
+    def test_sloped_field_clamps_backoff_short(self):
+        # Height rises along x from 0 to 10 across the 20 m field.
+        field, clamped, direction = self._sweep(
+            [[0.0, 10.0], [0.0, 10.0]], Vec3(-2, 9, 1), Vec3(3, -12, 1))
+        self._assert_backoff_short(field, clamped, direction)
+        assert clamped.x > -2.0 and clamped.y < 9.0
+
+    def test_ray_that_misses_returns_none(self):
+        field = Heightfield(20.0, [[0.0, 10.0], [0.0, 10.0]])
+        transform = Transform(Vec3())
+        origin = Vec3(0, 8, 0)  # 3 m above the surface at x = 0
+        assert ray_heightfield(origin, Vec3(0, 1, 0), field,
+                               transform, 10.0) is None
+        assert ray_heightfield(origin, Vec3(0, -1, 0), field,
+                               transform, 2.0) is None
+        assert ray_heightfield(origin, Vec3(0, -1, 0), field,
+                               transform, 4.0) is not None

@@ -199,8 +199,7 @@ class TestConservation:
         p0, l0, p_scale, l_scale = self._momenta(world)
         contacts = 0
         for _ in range(150):
-            contacts += world.step_frame()["narrowphase"].get("contacts",
-                                                              0)
+            contacts += world.step_frame()["narrowphase"].get("contacts")
         assert contacts > 0  # the fleet really collides
         p1, l1, _, _ = self._momenta(world)
         assert (p1 - p0).length() <= 1e-12 * p_scale

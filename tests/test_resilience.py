@@ -15,7 +15,7 @@ import pytest
 from repro.api import Session, SessionSpec
 from repro.collision import Geom
 from repro.dynamics import Body
-from repro.engine import World, WorldConfig
+from repro.engine import World, WorldConfig, explosions
 from repro.engine.recorder import TrajectoryRecorder, trajectory_divergence
 from repro.geometry import Box, Plane, Sphere
 from repro.math3d import Vec3
@@ -171,7 +171,7 @@ class TestSnapshotPayloadCheck:
         with pytest.raises(SnapshotMismatchError, match=key):
             WorldSnapshot.from_dict(snap).restore(session.world)
         assert session.state_digest() == digest
-        assert session.frame_index == 5
+        assert session.world.frame_index == 5
         with pytest.raises(SnapshotMismatchError, match=key):
             Session.restore({**payload, "snapshot": snap})
 
@@ -240,13 +240,13 @@ class TestSolverResidual:
 
 
 class TestHousekeepingFixes:
-    def test_inactive_explosions_pruned(self):
+    def test_inactive_explosions_pruned(self, monkeypatch):
+        monkeypatch.setattr(explosions, "BLAST_STEPS", 2)
         world = World(WorldConfig())
         world.add_static_geom(Plane(Vec3(0, 1, 0), 0.0))
         body = Body(position=Vec3(0, 2, 0))
         world.attach(body, Sphere(0.5), density=500.0)
-        world.explode(Vec3(0, 0, 0), radius=5.0, impulse=10.0,
-                      duration_steps=2)
+        world.explode(Vec3(0, 0, 0), radius=5.0, impulse=10.0)
         assert world.explosions
         for _ in range(4):
             world.step()

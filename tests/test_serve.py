@@ -298,9 +298,9 @@ class TestShardWorker:
         slow = worker.sessions["slow"]
         stepped_in = []  # rounds in which "slow" stepped
         while slow.step_job is not None:
-            before = slow.session.frame_index
+            before = slow.session.world.frame_index
             worker._frame_round(outbox)
-            if slow.session.frame_index > before:
+            if slow.session.world.frame_index > before:
                 stepped_in.append(worker.round_index)
                 slow_frames[0] -= 1
         # Every round until quarantine, then only probe rounds, then
@@ -314,7 +314,7 @@ class TestShardWorker:
         assert last == [probes[-1] + 1, probes[-1] + 2]
         reply = next(r for r in outbox if r["req_id"] == 2)
         assert reply["result"]["frame_index"] == frames
-        assert worker.sessions["other"].session.frame_index \
+        assert worker.sessions["other"].session.world.frame_index \
             == worker.round_index
         assert worker.metrics.counters["quarantines"] == 1
         assert worker.metrics.counters["quarantine_releases"] == 1

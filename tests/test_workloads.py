@@ -6,7 +6,7 @@ from repro.api import Session, SessionSpec, run_scenario
 from repro.dynamics import ContactJoint, Joint
 from repro.geometry import Shape
 from repro.profiling import PARALLEL_PHASES, mean_report
-from repro.profiling.tasks import cg_speedup
+from repro.profiling.tasks import phase_cg_speedup
 from repro.workloads import (
     BENCHMARKS,
     get_benchmark,
@@ -115,16 +115,19 @@ class TestCostModel:
 
     def test_cg_speedup_monotone_in_cores(self):
         report = self._report()
-        s1 = cg_speedup(report, 1)
-        s4 = cg_speedup(report, 4)
-        s16 = cg_speedup(report, 16)
-        assert s1 == pytest.approx(1.0)
-        assert s1 <= s4 <= s16
+        for phase in PARALLEL_PHASES:
+            s1 = phase_cg_speedup(report, phase, 1)
+            s4 = phase_cg_speedup(report, phase, 4)
+            s16 = phase_cg_speedup(report, phase, 16)
+            assert s1 == pytest.approx(1.0)
+            assert s1 <= s4 <= s16
 
     def test_cg_speedup_bounded_by_amdahl(self):
-        """Serial phases cap the speedup below the core count."""
+        """A phase's largest task caps its speedup below the core
+        count."""
         report = self._report()
-        assert cg_speedup(report, 64) < 64.0
+        for phase in PARALLEL_PHASES:
+            assert phase_cg_speedup(report, phase, 64) < 64.0
 
     def test_parallel_phases_match_paper(self):
         assert PARALLEL_PHASES == ("narrowphase", "island_processing",
