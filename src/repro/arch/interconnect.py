@@ -45,9 +45,11 @@ ONCHIP_MESH = Interconnect(
 HTX = Interconnect(
     "htx", "HyperTransport socket", round_trip_cycles=240,
     bandwidth_bytes=10.4e9)
+# PCIe: bulk-DMA rate; the paper's section 8.3 example (200 KB in about
+# 60 us) implies about 3.3e9 B/s.
 PCIE = Interconnect(
     "pcie", "PCIe board", round_trip_cycles=2400,
-    bandwidth_bytes=2.0e9)
+    bandwidth_bytes=3.5e9)
 
 INTERCONNECTS = {ic.name: ic for ic in (ONCHIP_MESH, HTX, PCIE)}
 

@@ -10,13 +10,13 @@ percent of a 30 FPS frame.
 
 from __future__ import annotations
 
+from .interconnect import PCIE
 from .machine import FPS_TARGET
 
 __all__ = [
     "BYTES_PER_OBJECT",
     "BYTES_PER_PARTICLE",
     "BYTES_PER_CLOTH_VERTEX",
-    "PCIE_EFFECTIVE_BANDWIDTH",
     "PCIE_LATENCY_SECONDS",
     "frame_bytes",
     "transfer_seconds",
@@ -31,8 +31,10 @@ BYTES_PER_OBJECT = 60
 BYTES_PER_PARTICLE = 8
 BYTES_PER_CLOTH_VERTEX = 12
 
-# Effective (not peak) PCIe numbers for bulk DMA of small-ish buffers.
-PCIE_EFFECTIVE_BANDWIDTH = 3.5e9
+# One-way setup latency of a bulk DMA over the link; the bandwidth is
+# the link's own, ``interconnect.PCIE.bandwidth_bytes``. Table 7 prices
+# the same link at 2,400 cycles per round trip instead (EXPERIMENTS.md,
+# Known divergence 6).
 PCIE_LATENCY_SECONDS = 3e-6
 
 
@@ -44,11 +46,9 @@ def frame_bytes(objects: int, particles: int = 0,
 
 
 def transfer_seconds(objects: int, particles: int = 0,
-                     cloth_vertices: int = 0,
-                     bandwidth: float = PCIE_EFFECTIVE_BANDWIDTH,
-                     latency: float = PCIE_LATENCY_SECONDS) -> float:
+                     cloth_vertices: int = 0) -> float:
     nbytes = frame_bytes(objects, particles, cloth_vertices)
-    return latency + nbytes / bandwidth
+    return PCIE_LATENCY_SECONDS + nbytes / PCIE.bandwidth_bytes
 
 
 def paper_example_seconds() -> float:

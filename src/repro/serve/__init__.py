@@ -2,14 +2,13 @@
 
 Many independent simulation sessions run across worker processes (each
 worker stepping its residents one at a time, each on its own clock)
-behind an asyncio front-end. Sessions route to shards deterministically, migrate
-between shards via checkpoint/restore with bit-identical replay, and
-degrade gracefully under load (quarantine, bounded-queue backpressure,
-per-session watchdogs).
-
-Quick start (:class:`~repro.serve.service.SimService` is the client
-API; :class:`~repro.serve.cluster.SimCluster` is the transport under
-it)::
+behind an asyncio front-end. Sessions route to shards deterministically
+(:func:`shard_for`, plus migration overrides), migrate between shards
+via checkpoint/restore with bit-identical replay, and degrade gracefully
+under load (quarantine, bounded-queue backpressure, per-session
+watchdogs). :class:`~repro.serve.service.SimService` owns the shard
+processes and the routing, and is the client API (:func:`serve_tcp`
+puts it on a socket)::
 
     import asyncio
     from repro.api import SessionSpec
@@ -31,23 +30,19 @@ Served-fleet performance is the ``fleet_serve`` workload of
 ``python bench/run.py``.
 """
 
-from .cluster import SimCluster
 from .metrics import (FrameTimeHistogram, ShardMetrics,
                       merge_snapshots)
 from .protocol import (BackpressureError, ServeError,
                        SessionExistsError, ShardDownError,
                        ShardTimeoutError, UnknownSessionError,
                        UnknownVerbError, WorkerError)
-from .routing import RoutingTable, shard_for
-from .service import SimService, serve_tcp
+from .service import SimService, serve_tcp, shard_for
 from .shard import ShardWorker
 
 __all__ = [
-    "SimCluster",
     "SimService",
     "serve_tcp",
     "ShardWorker",
-    "RoutingTable",
     "shard_for",
     "FrameTimeHistogram",
     "ShardMetrics",

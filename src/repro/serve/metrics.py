@@ -66,14 +66,6 @@ class FrameTimeHistogram:
         k = int((math.log(seconds) - _LOG_LO) * _SCALE)
         return min(k, HISTOGRAM_BUCKETS - 1) + 1
 
-    @staticmethod
-    def _bucket_bounds(index: int):
-        """(lo, hi) seconds of interior bucket ``index`` (1-based)."""
-        step = 1.0 / _SCALE
-        lo = math.exp(_LOG_LO + (index - 1) * step)
-        hi = math.exp(_LOG_LO + index * step)
-        return lo, hi
-
     def percentile(self, p: float) -> float:
         """Estimated ``p``-th percentile (0..100); 0.0 when empty."""
         if self.total == 0:
@@ -88,15 +80,14 @@ class FrameTimeHistogram:
                     return HISTOGRAM_LO
                 if index == HISTOGRAM_BUCKETS + 1:
                     return self.max
-                lo, hi = self._bucket_bounds(index)
+                # Interior bucket ``index`` (1-based) spans [lo, hi).
+                step = 1.0 / _SCALE
+                lo = math.exp(_LOG_LO + (index - 1) * step)
+                hi = math.exp(_LOG_LO + index * step)
                 frac = (rank - seen) / count
                 return lo + (hi - lo) * frac
             seen += count
         return self.max
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
 
     def merge(self, other: "FrameTimeHistogram"):
         for index, count in enumerate(other.counts):
@@ -126,7 +117,7 @@ class FrameTimeHistogram:
         """The dashboard row: count, mean, p50/p95/p99, max."""
         return {
             "count": self.total,
-            "mean_s": self.mean,
+            "mean_s": self.sum / self.total if self.total else 0.0,
             "p50_s": self.percentile(50),
             "p95_s": self.percentile(95),
             "p99_s": self.percentile(99),

@@ -55,15 +55,7 @@ class WorkerError(ServeError):
 #: Error-type registry: wire name -> exception class. Replies carry the
 #: name; clients map it back through this table (unknown names decode
 #: as :class:`WorkerError` so protocol drift degrades, not crashes).
-ERROR_TYPES = {
-    "UnknownSessionError": UnknownSessionError,
-    "SessionExistsError": SessionExistsError,
-    "UnknownVerbError": UnknownVerbError,
-    "BackpressureError": BackpressureError,
-    "ShardTimeoutError": ShardTimeoutError,
-    "ShardDownError": ShardDownError,
-    "WorkerError": WorkerError,
-}
+ERROR_TYPES = {cls.__name__: cls for cls in ServeError.__subclasses__()}
 
 
 def request(req_id: int, verb: str, session_id: str = None,

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.__main__ import EXPERIMENTS
 from repro.analysis.tables import PAPER_TABLE4
 from repro.arch.area import area_mm2, fg_pool_area
-from repro.arch.model2 import paper_example_seconds
 from repro.profiling.report import PARALLEL_PHASES, PHASES
 from repro.profiling.tasks import phase_cg_speedup
 
@@ -367,8 +366,6 @@ def test_model2_discrete_accelerator(data):
     for name, d in data["model2"].items():
         assert d["feasible"], name
         assert d["frame_budget_fraction"] < 0.05
-    # The paper's worked example lands at ~0.00006s.
-    assert abs(paper_example_seconds() - 6e-5) / 6e-5 < 0.2
 
 
 def test_protocol_overhead(data):

@@ -1,19 +1,22 @@
 """The sharded simulation service: routing, metrics, protocol units,
-cluster lifecycle end-to-end, migration bit-identity through the
-service, backpressure, quarantine, and the asyncio front-end."""
+service lifecycle end-to-end, migration bit-identity (and survival of a
+failed migration), backpressure, quarantine, and the asyncio front-end."""
 
 import asyncio
 import json
+import os
+import signal
 
 import pytest
 
 from repro.api import Session, SessionSpec
 from repro.serve import (BackpressureError, FrameTimeHistogram,
-                         RoutingTable, SessionExistsError,
+                         SessionExistsError, ShardDownError,
                          ShardTimeoutError, ShardWorker, SimService,
                          UnknownSessionError, WorkerError,
                          merge_snapshots, serve_tcp, shard_for)
 from repro.serve import protocol, shard
+from repro.serve import service as service_module
 
 
 def spec(name="periodic", **kw):
@@ -22,7 +25,15 @@ def spec(name="periodic", **kw):
     return SessionSpec(name, **kw)
 
 
-# -- units: routing ------------------------------------------------------
+# -- routing ------------------------------------------------------------
+def serve(scenario, **service_kwargs):
+    """Run ``scenario(service)`` against a fresh service."""
+    async def main():
+        async with SimService.start(**service_kwargs) as service:
+            return await scenario(service)
+    return asyncio.run(main())
+
+
 class TestRouting:
     def test_shard_for_is_stable_and_in_range(self):
         for n in (1, 2, 5):
@@ -32,23 +43,38 @@ class TestRouting:
                 assert shard_for(sid, n) == first
 
     def test_overrides_layer_over_hash_placement(self):
-        table = RoutingTable(4)
-        sid = "mover"
-        home = table.shard_of(sid)
-        target = (home + 1) % 4
-        table.assign(sid, target)
-        assert table.shard_of(sid) == target
-        table.assign(sid, home)  # back home drops the override
-        assert table.overrides == {}
-        table.assign(sid, target)
-        table.forget(sid)
-        assert table.shard_of(sid) == home
+        async def scenario(service):
+            sid = "mover"
+            home = service.shard_of(sid)
+            assert home == shard_for(sid, 2)
+            target = (home + 1) % 2
+            await service.create_session(sid, spec(seed=1))
+            await service.migrate(sid, target)
+            assert service.shard_of(sid) == target
+            await service.migrate(sid, home)  # back home drops it
+            assert service.overrides == {}
+            await service.migrate(sid, target)
+            await service.destroy(sid)
+            assert service.overrides == {}
+            assert service.shard_of(sid) == home
+
+        serve(scenario, n_shards=2)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             shard_for("x", 0)
-        with pytest.raises(ValueError):
-            RoutingTable(2).assign("x", 5)
+        for n_shards in (0, -1):
+            with pytest.raises(ValueError, match="n_shards must be positive"):
+                SimService.start(n_shards=n_shards)
+
+        async def scenario(service):
+            await service.create_session("x", spec(seed=0))
+            payload = await service.checkpoint("x")
+            with pytest.raises(ValueError, match="out of range"):
+                await service.restore_session("y", payload, 5)
+            assert service.overrides == {}
+
+        serve(scenario, n_shards=2)
 
 
 # -- units: metrics ------------------------------------------------------
@@ -89,10 +115,13 @@ class TestMetrics:
 # -- units: protocol -----------------------------------------------------
 class TestProtocol:
     def test_typed_error_survives_the_wire(self):
-        reply = json.loads(json.dumps(protocol.error_reply(
-            7, UnknownSessionError("nope"))))
-        with pytest.raises(UnknownSessionError, match="nope"):
-            protocol.raise_if_error(reply)
+        for error in (UnknownSessionError, SessionExistsError,
+                      protocol.UnknownVerbError, BackpressureError,
+                      ShardTimeoutError, ShardDownError, WorkerError):
+            reply = json.loads(json.dumps(protocol.error_reply(
+                7, error("nope"))))
+            with pytest.raises(error, match="nope"):
+                protocol.raise_if_error(reply)
 
     def test_foreign_exception_becomes_worker_error(self):
         reply = protocol.error_reply(1, KeyError("boom"))
@@ -338,17 +367,11 @@ class TestShardWorker:
         assert outbox[-1]["result"]["digest"] == twin.state_digest()
 
 
-# -- end-to-end: cluster -------------------------------------------------
-def serve(scenario, **cluster_kwargs):
-    """Run ``scenario(service)`` against a fresh cluster."""
-    async def main():
-        async with SimService.start(**cluster_kwargs) as service:
-            return await scenario(service)
-    return asyncio.run(main())
-
-
+# -- end-to-end: the service ------------------------------------------
 class TestCluster:
-    def test_lifecycle_and_typed_errors(self):
+    def test_lifecycle_and_typed_errors(self, monkeypatch):
+        monkeypatch.setattr(service_module, "BACKLOG", 16)
+
         async def scenario(service):
             await service.create_session("a", spec(seed=0))
             with pytest.raises(SessionExistsError):
@@ -364,7 +387,7 @@ class TestCluster:
             with pytest.raises(UnknownSessionError):
                 await service.query("a")
 
-        serve(scenario, n_shards=2, backlog=16)
+        serve(scenario, n_shards=2)
 
     def test_serve_matches_local_session(self):
         async def scenario(service):
@@ -379,27 +402,113 @@ class TestCluster:
 
     def test_migration_is_bit_identical(self):
         async def scenario(service):
-            routing = service.cluster.routing
             await service.create_session(
                 "m", spec("explosions", scale=0.05))
             await service.step("m", frames=4)
-            source = routing.shard_of("m")
+            source = service.shard_of("m")
             target = (source + 1) % 2
             moved = await service.migrate("m", target)
             assert moved["shard_id"] == target
-            assert routing.shard_of("m") == target
+            assert service.shard_of("m") == target
             await service.step("m", frames=4)
             served = (await service.query("m"))["digest"]
             stats = await service.stats()
             assert stats["counters"]["sessions_restored"] == 1
             await service.destroy("m")
-            assert routing.overrides == {}
+            assert service.overrides == {}
             return served
 
         served = serve(scenario, n_shards=2)
         twin = Session.create(spec("explosions", scale=0.05))
         twin.step(8)
         assert served == twin.state_digest()
+
+    @pytest.mark.parametrize("fault", ("dead", "full", "occupied",
+                                       "out_of_range"))
+    def test_failed_migration_keeps_the_session(self, fault, monkeypatch):
+        """A restore the target refuses (its worker is gone, its inbox
+        is full, it already hosts that id, or it does not exist) is
+        re-applied on the source: the session stays where it was, at
+        the frame it had reached, and steps on like a twin that never
+        moved."""
+        raised = {"dead": ShardDownError, "full": BackpressureError,
+                  "occupied": SessionExistsError,
+                  "out_of_range": ValueError}[fault]
+        if fault == "full":
+            monkeypatch.setattr(service_module, "BACKLOG", 1)
+
+        async def scenario(service):
+            await service.create_session("m", spec(seed=3))
+            await service.step("m", frames=3)
+            before = await service.query("m")
+            source = service.shard_of("m")
+            target = (source + 1) % 2
+            stopped = None
+            if fault == "dead":
+                service._procs[target].terminate()
+                service._procs[target].join()
+            elif fault == "full":
+                # A stopped worker takes nothing off its inbox, so one
+                # queued command fills it until the worker continues.
+                stopped = service._procs[target].pid
+                os.kill(stopped, signal.SIGSTOP)
+                queued = service.submit(target, "stats")[1]
+            elif fault == "occupied":
+                await service.call("create", "m", shard_id=target,
+                                   spec=spec(seed=3).to_dict())
+            else:
+                target = 2
+            try:
+                with pytest.raises(raised):
+                    await service.migrate("m", target)
+            finally:
+                if stopped is not None:
+                    os.kill(stopped, signal.SIGCONT)
+            if stopped is not None:
+                await asyncio.wrap_future(queued)
+            after = await service.query("m")
+            assert service.shard_of("m") == source
+            assert after["frame_index"] == before["frame_index"] == 3
+            assert after["digest"] == before["digest"]
+            await service.step("m", frames=3)
+            return (await service.query("m"))["digest"]
+
+        served = serve(scenario, n_shards=2)
+        twin = Session.create(spec(seed=3))
+        twin.step(6)
+        assert served == twin.state_digest()
+
+    def test_migration_refused_on_both_shards_returns_the_checkpoint(self):
+        """If the source also refuses the fallback restore, the session
+        is on no shard; the error the target raised carries its
+        checkpoint, which restores the session at the frame it had
+        reached."""
+        async def scenario(service):
+            await service.create_session("m", spec(seed=3))
+            await service.step("m", frames=3)
+            before = await service.query("m")
+            source = service.shard_of("m")
+            target = (source + 1) % 2
+            service._procs[target].terminate()
+            service._procs[target].join()
+            destroy = service.destroy
+
+            async def destroy_then_lose_the_source(session_id):
+                reply = await destroy(session_id)
+                service._procs[source].terminate()
+                service._procs[source].join()
+                return reply
+
+            service.destroy = destroy_then_lose_the_source
+            with pytest.raises(ShardDownError,
+                               match=f"shard {target} ") as raised:
+                await service.migrate("m", target)
+            return before, raised.value.checkpoint
+
+        before, payload = serve(scenario, n_shards=2)
+        restored = Session.restore(payload)
+        assert restored.world.frame_index == before["frame_index"] == 3
+        assert restored.state_digest() == before["digest"]
 
     def test_restore_of_a_malformed_snapshot_is_refused(self):
         async def scenario(service):
@@ -438,20 +547,21 @@ class TestCluster:
 
         serve(scenario, n_shards=1)
 
-    def test_full_inbox_raises_backpressure(self):
+    def test_full_inbox_raises_backpressure(self, monkeypatch):
+        monkeypatch.setattr(service_module, "BACKLOG", 1)
+
         async def scenario(service):
-            cluster = service.cluster
             await service.create_session("busy", spec(scale=0.05))
-            futures = [cluster.submit(0, "step", "busy", frames=30)]
+            futures = [service.submit(0, "step", "busy", frames=30)[1]]
             with pytest.raises(BackpressureError):
                 for _ in range(500):
-                    futures.append(cluster.submit(0, "query", "busy"))
+                    futures.append(service.submit(0, "query", "busy")[1])
             for future in futures:
                 protocol.raise_if_error(
                     await asyncio.wait_for(asyncio.wrap_future(future),
                                            timeout=120))
 
-        serve(scenario, n_shards=1, backlog=1)
+        serve(scenario, n_shards=1)
 
     def test_watchdog_session_reports_events(self):
         faults = [{"step": 3, "kind": "huge_impulse",
@@ -468,18 +578,18 @@ class TestCluster:
 
         serve(scenario, n_shards=1)
 
-    def test_silent_shard_surfaces_as_shard_timeout(self):
+    def test_silent_shard_surfaces_as_shard_timeout(self, monkeypatch):
         async def scenario(service):
             await service.create_session("t", spec(scale=0.05))
-            service.cluster.request_timeout = 0.05
+            monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.05)
             with pytest.raises(ShardTimeoutError):
                 await service.step("t", frames=10**6)
-            assert service.cluster._pending == {}
+            assert service._pending == {}
             reply = await service.handle_message(
                 {"req_id": 9, "verb": "query", "session_id": "t"})
             assert reply["req_id"] == 9 and reply["ok"] is False
             assert reply["error"]["type"] == "ShardTimeoutError"
-            assert service.cluster._pending == {}
+            assert service._pending == {}
 
         serve(scenario, n_shards=1)
 
@@ -490,7 +600,7 @@ def over_tcp(scenario):
     service behind :func:`serve_tcp`."""
     async def main():
         async with SimService.start(n_shards=1) as service:
-            server = await serve_tcp(service)
+            server = await serve_tcp(service, "127.0.0.1", 0)
             try:
                 host, port = server.sockets[0].getsockname()[:2]
                 reader, writer = await asyncio.open_connection(
@@ -506,9 +616,11 @@ def over_tcp(scenario):
 
 
 class TestService:
-    def test_async_verbs_and_stats(self):
+    def test_async_verbs_and_stats(self, monkeypatch):
+        monkeypatch.setattr(service_module, "BACKLOG", 32)
+
         async def scenario():
-            service = SimService.start(n_shards=2, backlog=32)
+            service = SimService.start(n_shards=2)
             try:
                 await asyncio.gather(*(
                     service.create_session(f"s{i}", spec(seed=i))
@@ -539,7 +651,7 @@ class TestService:
             try:
                 await service.create_session("m", spec(seed=9))
                 await service.step("m", frames=3)
-                source = service.cluster.routing.shard_of("m")
+                source = service.shard_of("m")
                 await service.migrate("m", (source + 1) % 2)
                 await service.step("m", frames=3)
                 return (await service.query("m"))["digest"]
