@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Run a benchmark under the resilience layer.
 
-Inject a seeded fault schedule, guard every sub-step with the watchdog,
-and print the incident log and final validation verdict:
+Guard every sub-step with the watchdog, optionally poison one body
+halfway through, and print the incident log and final validation
+verdict:
 
-    python examples/resilience_demo.py --watchdog --faults
+    python examples/resilience_demo.py --watchdog --poison
     python examples/resilience_demo.py --benchmark breakable --watchdog
-    python examples/resilience_demo.py --faults        # unguarded burn
+    python examples/resilience_demo.py --poison        # unguarded burn
 
-Without ``--watchdog`` the faults land on an unguarded world so you can
-watch the difference: the validator reports the NaNs the watchdog would
-have rolled back.
+``--poison`` sets the position of the enabled dynamic body with the
+lowest uid to NaN after half the frames. With ``--watchdog`` the
+rollback cannot undo it (the NaN is in the pre-step snapshot), so the
+ladder climbs to ``quarantine``; without it the validator reports the
+NaN.
 """
 
 import argparse
 
-from repro.api import SessionSpec, run_scenario
-from repro.resilience import FaultSchedule
+from repro.api import Session, SessionSpec
+from repro.math3d import Vec3
 from repro.workloads import validate_world
 
 
@@ -30,29 +33,29 @@ def main():
     parser.add_argument("--watchdog", action="store_true",
                         help="guard each sub-step: validate, roll back, "
                              "degrade")
-    parser.add_argument("--faults", action="store_true",
-                        help="inject a seeded fault schedule")
-    parser.add_argument("--fault-count", type=int, default=4)
+    parser.add_argument("--poison", action="store_true",
+                        help="set one body's position to NaN halfway")
     args = parser.parse_args()
 
-    schedule = None
-    if args.faults:
-        steps = args.frames * 3
-        schedule = FaultSchedule.seeded(args.seed, steps,
-                                        count=args.fault_count)
-        print(f"fault schedule: {list(schedule)}")
-
     spec = SessionSpec(args.benchmark, scale=args.scale, seed=args.seed,
-                       watchdog=args.watchdog, faults=schedule)
-    run = run_scenario(spec, frames=args.frames)
+                       watchdog=args.watchdog)
+    session = Session.create(spec)
+    half = args.frames // 2
+    session.step(half)
+    if args.poison:
+        body = min((b for b in session.world.bodies
+                    if b.enabled and not b.is_static),
+                   key=lambda b: b.uid)
+        nan = float("nan")
+        body.position = Vec3(nan, nan, nan)
+        print(f"poisoned body {body.uid} after frame {half}")
+    session.step(args.frames - half)
 
-    if run.injector is not None:
-        print(f"injected: {run.injector.injected}")
-    if run.health is not None:
-        print(f"watchdog: {run.health.summary()}")
-        for event in run.health:
+    if session.health is not None:
+        print(f"watchdog: {session.health.summary()}")
+        for event in session.health:
             print(f"  {event!r}")
-    report = validate_world(run.world, health=run.health)
+    report = validate_world(session.world, health=session.health)
     print(f"validation: {report.summary()}")
     for note in report.notes:
         print(f"  note: {note}")

@@ -11,8 +11,8 @@ The package splits into two halves mirroring the paper's methodology:
   cache/core/interconnect timing models, rebuilt in a follow-up PR.
 
 Cross-cutting: ``repro.resilience`` hardens long-running simulations —
-deterministic checkpoints, a per-step watchdog with rollback-and-degrade
-recovery, and the fault-injection harness that tests it.
+deterministic checkpoints and a per-step watchdog with
+rollback-and-degrade recovery.
 """
 
 __version__ = "1.0.0"

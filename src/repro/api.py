@@ -3,8 +3,8 @@
 One spec, one session, one way in:
 
 * :class:`SessionSpec` — a JSON-serializable description of a
-  simulation (scenario name, config overrides, backend, watchdog and
-  fault policy). Because it is JSON-native it doubles as the
+  simulation (scenario name, config overrides, backend, watchdog
+  policy). Because it is JSON-native it doubles as the
   ``repro.serve`` wire format.
 * :class:`Session` — ``Session.create(spec)`` builds the world and its
   driver, ``session.step(n)`` advances rendered frames,
@@ -75,23 +75,20 @@ class SessionSpec:
     ``config`` holds :class:`~repro.engine.WorldConfig` field overrides
     applied to the scenario's world after build. ``watchdog`` steps
     under :class:`~repro.resilience.StepWatchdog` at its module
-    thresholds; ``faults`` is a list of ``{"step", "kind",
-    "persistent"}`` records (a :class:`~repro.resilience.FaultSchedule`
-    is accepted and flattened). ``backend`` is pinned by
+    thresholds. ``backend`` is pinned by
     :meth:`resolved` so the same spec builds the same world on any
     host.
     """
 
     def __init__(self, scenario: str, scale: float = 1.0, seed: int = 0,
                  backend: str = None, config=None,
-                 watchdog: bool = False, faults=None):
+                 watchdog: bool = False):
         self.scenario = scenario
         self.scale = float(scale)
         self.seed = int(seed)
         self.backend = backend
         self.config = self._normalize_config(config)
         self.watchdog = bool(watchdog)
-        self.faults = self._normalize_faults(faults)
 
     @staticmethod
     def _normalize_config(config):
@@ -102,22 +99,6 @@ class SessionSpec:
             raise TypeError(
                 f"unknown WorldConfig fields: {sorted(unknown)}")
         return dict(config)
-
-    @staticmethod
-    def _normalize_faults(faults):
-        if faults is None:
-            return None
-        records = []
-        for fault in faults:
-            if isinstance(fault, dict):
-                records.append({"step": fault["step"],
-                                "kind": fault["kind"],
-                                "persistent": fault.get("persistent",
-                                                        False)})
-            else:
-                records.append({"step": fault.step, "kind": fault.kind,
-                                "persistent": fault.persistent})
-        return records
 
     def resolved(self) -> "SessionSpec":
         """A copy with the backend pinned to a concrete name."""
@@ -134,8 +115,6 @@ class SessionSpec:
             "backend": self.backend,
             "config": dict(self.config) if self.config else None,
             "watchdog": self.watchdog,
-            "faults": ([dict(f) for f in self.faults]
-                       if self.faults else None),
         }
 
     @classmethod
@@ -153,8 +132,6 @@ class SessionSpec:
             bits.append(f"backend={self.backend!r}")
         if self.watchdog:
             bits.append("watchdog=True")
-        if self.faults:
-            bits.append(f"faults={len(self.faults)}")
         return f"SessionSpec({', '.join(bits)})"
 
 
@@ -180,15 +157,13 @@ class Session:
     :meth:`checkpoint` payload — possibly produced in another process).
     """
 
-    def __init__(self, spec, world, driver, scope, guard=None,
-                 injector=None):
+    def __init__(self, spec, world, driver, scope, guard=None):
         self.spec = spec
         self.world = world
         self.reports = []
         self._driver = driver
         self._scope = scope
         self._guard = guard
-        self._injector = injector
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -245,28 +220,12 @@ class Session:
                                         backend=spec.backend)
             _apply_config_overrides(world, spec.config)
 
-            guard = injector = None
-            if spec.watchdog or spec.faults:
-                from .resilience import (Fault, FaultInjector,
-                                         FaultSchedule, StepWatchdog)
-                if spec.faults:
-                    schedule = FaultSchedule(
-                        Fault(f["step"], f["kind"], f["persistent"])
-                        for f in spec.faults)
-                    injector = FaultInjector(world, schedule,
-                                             seed=spec.seed)
-                if spec.watchdog:
-                    guard = StepWatchdog(world)
-            if injector is not None:
-                scene_driver = driver
+            guard = None
+            if spec.watchdog:
+                from .resilience import StepWatchdog
+                guard = StepWatchdog(world)
 
-                def driver():
-                    if scene_driver is not None:
-                        scene_driver()
-                    injector.tick()
-
-        session = cls(spec, world, driver, scope, guard=guard,
-                      injector=injector)
+        session = cls(spec, world, driver, scope, guard=guard)
         session._uid_base = uid_base
         if passthrough:
             session._installed = contextlib.nullcontext
@@ -392,7 +351,7 @@ class SessionGroup:
 def run_scenario(spec, frames: int = 5, measure_from: int = None):
     """Run a spec to completion and wrap it as a ``BenchmarkRun``.
 
-    Driven by a :class:`SessionSpec`, so the watchdog/fault/backend
+    Driven by a :class:`SessionSpec`, so the watchdog and backend
     policies travel as data. The mean of the frames from
     ``measure_from`` on (default: the last two) is the run's measured
     frame. Uses the process-global uid counters so recorded
@@ -406,5 +365,4 @@ def run_scenario(spec, frames: int = 5, measure_from: int = None):
     session.step(frames)
     return BenchmarkRun(
         spec.scenario, spec.scale, spec.seed, session.world,
-        session.reports, measure_from,
-        health=session.health, injector=session._injector)
+        session.reports, measure_from, health=session.health)

@@ -31,19 +31,16 @@ class TrajectoryRecorder:
         self.frames.append(frame)
         return frame
 
-    def record(self, frames: int, driver=None,
-               stepper=None) -> "TrajectoryRecorder":
+    def record(self, frames: int, driver=None) -> "TrajectoryRecorder":
         """Simulate ``frames`` rendered frames, snapshotting each.
 
         ``driver`` (from a benchmark's ``build``) is called once per
         sub-step before stepping — cannons, throttles, explosion
-        schedules all live there. ``stepper``, when given, replaces the
-        driver+``world.step()`` pair per sub-step (it receives the
-        driver); pass a ``StepWatchdog.step`` to record a guarded run.
+        schedules all live there.
         """
         self.snapshot()  # initial state
         for _ in range(frames):
-            self.world.step_frame(driver, stepper)
+            self.world.step_frame(driver)
             self.snapshot()
         return self
 

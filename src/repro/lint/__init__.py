@@ -94,8 +94,8 @@ numpy.random.default_rng() with no argument) draw from OS entropy or
 shared hidden state, so two runs — or two worlds in one process —
 see different streams.  Everything stochastic in the engine must flow
 from an explicit seed threaded through the call (random.Random(seed),
-default_rng(seed)), the pattern repro.resilience.FaultInjector
-already uses.""", _sim_files(determinism.check_pax103)),
+default_rng(seed)), the pattern every scene builder in
+repro.workloads.benchmarks uses.""", _sim_files(determinism.check_pax103)),
     Rule("PAX104", "wall-clock-in-step-path", """\
 Wall-clock reads (time.time, perf_counter, datetime.now, ...) differ
 every run, so any value derived from them inside the step path makes

@@ -84,11 +84,6 @@ class FrameReport:
         self.step_tasks = {phase: [] for phase in PARALLEL_PHASES}
         self.step_touches = []
         self.steps = 0
-        # Watchdog incident log for this frame (a
-        # repro.resilience.HealthReport), or None when the frame ran
-        # unguarded / clean. Duck-typed to keep profiling independent
-        # of the resilience layer.
-        self.health = None
 
     def __getitem__(self, phase: str) -> PhaseCounters:
         return self.phases[phase]

@@ -1,13 +1,7 @@
-"""Simulation resilience: checkpoint/restore, the step watchdog with
-rollback-and-degrade recovery, and deterministic fault injection."""
+"""Simulation resilience: checkpoint/restore and the step watchdog with
+rollback-and-degrade recovery."""
 
 from .checkpoint import SnapshotMismatchError, WorldSnapshot
-from .faults import (
-    FAULT_KINDS,
-    Fault,
-    FaultInjector,
-    FaultSchedule,
-)
 from .guard import (
     LADDER,
     HealthEvent,
@@ -24,8 +18,4 @@ __all__ = [
     "HealthEvent",
     "Violation",
     "LADDER",
-    "FaultSchedule",
-    "FaultInjector",
-    "Fault",
-    "FAULT_KINDS",
 ]

@@ -25,8 +25,7 @@ as-is and flagged ``unrecovered`` — the watchdog degrades, it never
 raises.
 
 Every incident is recorded as a :class:`HealthEvent` in the watchdog's
-:class:`HealthReport` and mirrored onto the frame's ``FrameReport``
-(``report.health``).
+:class:`HealthReport`, the run's one incident log.
 """
 
 from __future__ import annotations
@@ -194,11 +193,6 @@ class StepWatchdog:
         else:
             event.rung = "unrecovered"
         self.health.append(event)
-        report = world.report
-        if report is not None:
-            if getattr(report, "health", None) is None:
-                report.health = HealthReport()
-            report.health.append(event)
         return event
 
     def _plain_step(self, driver):

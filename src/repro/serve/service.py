@@ -180,11 +180,17 @@ class SimService:
                    shard_id: int = None, **args):
         """Send one shard verb and return its result.
 
-        Routed by ``session_id`` unless ``shard_id`` names the shard.
+        Routed by ``session_id`` unless ``shard_id`` names the shard,
+        which only ``restore`` (a migration's target) and ``stats`` may
+        do: a session placed anywhere else would be unreachable.
         Raises the reply's typed error, or
         :class:`~repro.serve.protocol.ShardTimeoutError` when no reply
         arrives within :data:`REQUEST_TIMEOUT` (a late one is dropped).
         """
+        if (shard_id is not None and verb != "restore"
+                and verb in protocol.SESSION_VERBS):
+            raise ValueError(f"verb {verb!r} is routed by session_id;"
+                             f" only 'restore' takes a shard_id")
         req_id, future = self.submit(shard_id, verb, session_id, **args)
         try:
             reply = await asyncio.wait_for(asyncio.wrap_future(future),

@@ -297,7 +297,7 @@ class BenchmarkRun:
     """A simulated benchmark: per-frame reports + the measured average."""
 
     def __init__(self, name: str, scale: float, seed: int, world,
-                 reports, measure_from: int, health=None, injector=None):
+                 reports, measure_from: int, health=None):
         self.name = name
         self.scale = scale
         self.seed = seed
@@ -306,9 +306,8 @@ class BenchmarkRun:
         self.measure_from = measure_from
         self.measured = mean_report(reports[measure_from:])
         # Watchdog incident log (repro.resilience.HealthReport) when the
-        # run was guarded, and the fault injector when faults were on.
+        # run was guarded.
         self.health = health
-        self.injector = injector
 
     def instructions_per_frame(self) -> dict:
         per_phase = self.measured.phase_instructions()

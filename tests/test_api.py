@@ -23,10 +23,10 @@ class TestSessionSpec:
     def test_json_round_trip(self):
         original = spec("explosions", seed=7,
                         config={"gravity": [0.0, -5.0, 0.0]},
-                        watchdog=True,
-                        faults=[{"step": 4, "kind": "huge_impulse",
-                                 "persistent": False}])
+                        watchdog=True)
         wire = json.loads(json.dumps(original.to_dict()))
+        assert sorted(wire) == ["backend", "config", "scale", "scenario",
+                                "seed", "watchdog"]
         assert SessionSpec.from_dict(wire) == original
 
     def test_resolved_pins_backend(self):
@@ -169,17 +169,21 @@ class TestSessionGroup:
 
 
 def test_guarded_recorder_and_session_share_the_frame_loop():
-    """``TrajectoryRecorder.record(stepper=guard.step)`` and a
-    watchdog ``Session.step`` are the same ``World.step_frame`` loop:
-    same frames (uids aside: the session draws its own), same
-    rollbacks, same frame count."""
+    """A hand-written ``world.step_frame(driver, guard.step)`` loop and
+    a watchdog ``Session.step`` are the same ``World.step_frame`` loop:
+    the same body, corrupted at the same step, gives the same frames
+    (uids aside: the session draws its own), the same rollbacks and
+    the same frame count."""
+    from fault_injection import FaultInjector
+
     from repro.engine.recorder import TrajectoryRecorder
-    from repro.resilience import (Fault, FaultInjector, FaultSchedule,
-                                  StepWatchdog)
+    from repro.resilience import StepWatchdog
     from repro.workloads.benchmarks import get_benchmark
 
-    fault = {"step": 3, "kind": "huge_impulse", "persistent": False}
-    session = Session.create(spec(seed=2, watchdog=True, faults=[fault]))
+    fault = [(3, "huge_impulse")]
+    session = Session.create(spec(seed=2, watchdog=True))
+    session._driver = FaultInjector(session.world, fault, 2).wrap(
+        session._driver)
     served = TrajectoryRecorder(session.world)
     served.snapshot()
     for _ in range(3):
@@ -188,17 +192,13 @@ def test_guarded_recorder_and_session_share_the_frame_loop():
 
     world, scene_driver = get_benchmark("periodic").build(
         scale=0.05, seed=2, backend="numpy")
-    injector = FaultInjector(
-        world, FaultSchedule([Fault(3, "huge_impulse", False)]), seed=2)
-
-    def driver():
-        if scene_driver is not None:
-            scene_driver()
-        injector.tick()
-
+    driver = FaultInjector(world, fault, 2).wrap(scene_driver)
     guard = StepWatchdog(world)
-    recorded = TrajectoryRecorder(world).record(3, driver,
-                                                stepper=guard.step)
+    recorded = TrajectoryRecorder(world)
+    recorded.snapshot()
+    for _ in range(3):
+        world.step_frame(driver, guard.step)
+        recorded.snapshot()
 
     def poses(recorder):
         return [[state[1:] for state in frame]

@@ -189,7 +189,8 @@ class TestStaleCheckpoint:
     before any world is built, naming the key."""
 
     STALE = {"watchdog_config": {"watchdog_config": None},
-             "erp": {"config": {"erp": 0.2}}}
+             "erp": {"config": {"erp": 0.2}},
+             "faults": {"faults": None}}
 
     @pytest.mark.parametrize("key", sorted(STALE))
     def test_session_restore_refuses_unknown_spec_key(
@@ -214,9 +215,6 @@ class TestWatchdogHealthyRun:
             world.step_frame(driver, guard.step)
         assert len(guard.health) == 0
         assert guard.health.unrecovered == 0
-        # health only attaches to the frame report when an incident
-        # actually happens — clean frames carry no resilience baggage.
-        assert world.report.health is None
 
     def test_guarded_run_matches_unguarded(self):
         """An incident-free watchdog is a bit-exact no-op."""
@@ -225,8 +223,11 @@ class TestWatchdogHealthyRun:
         rec_a = TrajectoryRecorder(world_a).record(4, driver_a)
         world_b, driver_b = bench.build(scale=0.1, seed=4)
         guard = StepWatchdog(world_b)
-        rec_b = TrajectoryRecorder(world_b).record(4, driver_b,
-                                                   stepper=guard.step)
+        rec_b = TrajectoryRecorder(world_b)
+        rec_b.snapshot()
+        for _ in range(4):
+            world_b.step_frame(driver_b, guard.step)
+            rec_b.snapshot()
         assert trajectory_divergence(rec_a, rec_b) == 0.0
 
 

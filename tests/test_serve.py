@@ -76,6 +76,34 @@ class TestRouting:
 
         serve(scenario, n_shards=2)
 
+    def test_session_verbs_refuse_an_explicit_shard(self):
+        """Only ``restore`` may name a shard: a session created off its
+        home shard would be unreachable by every routed verb, and a
+        second ``create`` would make a twin on the home shard."""
+        async def scenario(service):
+            sid = "x"
+            away = (service.shard_of(sid) + 1) % 2
+            args = {"spec": spec(seed=0).to_dict(), "shard_id": away}
+            with pytest.raises(ValueError, match="only 'restore'"):
+                await service.call("create", sid, **args)
+            reply = await service.handle_message(
+                {"req_id": 3, "verb": "create", "session_id": sid,
+                 "args": args})
+            assert reply["ok"] is False and reply["req_id"] == 3
+            assert reply["error"]["type"] == "WorkerError"
+            assert "only 'restore'" in reply["error"]["message"]
+            assert service._pending == {}
+            with pytest.raises(UnknownSessionError):
+                await service.query(sid)
+            await service.create_session(sid, spec(seed=0))
+            with pytest.raises(ValueError, match="only 'restore'"):
+                await service.call("step", sid, shard_id=away, frames=1)
+            stray = service.submit(away, "query", sid)[1]
+            with pytest.raises(UnknownSessionError):
+                protocol.raise_if_error(await asyncio.wrap_future(stray))
+
+        serve(scenario, n_shards=2)
+
 
 # -- units: metrics ------------------------------------------------------
 class TestMetrics:
@@ -454,8 +482,10 @@ class TestCluster:
                 os.kill(stopped, signal.SIGSTOP)
                 queued = service.submit(target, "stats")[1]
             elif fault == "occupied":
-                await service.call("create", "m", shard_id=target,
-                                   spec=spec(seed=3).to_dict())
+                occupant = service.submit(target, "create", "m",
+                                          spec=spec(seed=3).to_dict())[1]
+                protocol.raise_if_error(
+                    await asyncio.wrap_future(occupant))
             else:
                 target = 2
             try:
@@ -564,17 +594,24 @@ class TestCluster:
         serve(scenario, n_shards=1)
 
     def test_watchdog_session_reports_events(self):
-        faults = [{"step": 3, "kind": "huge_impulse",
-                   "persistent": False}]
-
+        """A guarded session restored from a corrupted checkpoint (one
+        body's position NaN) recovers, and the shard counts the
+        incident."""
         async def scenario(service):
-            await service.create_session(
-                "w", spec(scale=0.05, watchdog=True, faults=faults))
+            await service.create_session("w", spec(scale=0.05,
+                                                   watchdog=True))
+            await service.step("w", frames=2)
+            payload = await service.checkpoint("w")
+            await service.destroy("w")
+            body = next(b for b in payload["snapshot"]["bodies"]
+                        if b["mass"] > 0.0)
+            body["position"] = [float("nan")] * 3
+            await service.restore_session("w", payload)
             result = await service.step("w", frames=4)
             assert result["watchdog_events"] >= 1
             stats = await service.call("stats", shard_id=0)
             assert stats["counters"]["watchdog_events"] >= 1
-            assert stats["counters"]["frames"] == 4
+            assert stats["counters"]["frames"] == 6
 
         serve(scenario, n_shards=1)
 
