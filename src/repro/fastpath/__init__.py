@@ -1,13 +1,16 @@
 """Struct-of-arrays fast path for the engine hot loops.
 
 ``repro.fastpath`` restates the profiled hot loops behind the existing
-APIs.  The SAP interval sweep, the sphere/box narrowphase pair tests
-and Jakobsen cloth relaxation are vectorized; the per-body force and
-integrate loops run over unboxed floats.  Constraint-row setup and the
-PGS sweep, whose dependency chain leaves no lanes for array code, are
-C (``pgs.c``): rows are built straight into the packed buffers the
-sweep reads, and the scalar row build and solver are the fallback.  A
-world binds one kernel set at construction::
+APIs.  The SAP interval sweep and the sphere/plane and box/plane
+narrowphase pair tests are vectorized; the per-body force and
+integrate loops run over unboxed floats.  Four kernels are C
+(``pgs.c``): constraint-row setup and the PGS sweep, whose dependency
+chain leaves no lanes for array code, with rows built straight into
+the packed buffers the sweep reads; Jakobsen cloth relaxation, all of
+a sub-step's passes in one call; and the box/box pair test, all of a
+sub-step's pairs in one call.  Without the C library the oracle runs
+instead: the scalar row build and solver, ``Cloth._relax_once`` and
+``collide``.  A world binds one kernel set at construction::
 
     World(backend="numpy")     # repro.fastpath.kernels (SoA)
     World(backend="scalar")    # repro.engine.scalar, the oracle (default)

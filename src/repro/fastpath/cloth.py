@@ -1,26 +1,27 @@
-"""Cloth fast path: bincount relaxation + collider AABB prefilter.
+"""Cloth fast path: relaxation in C + collider AABB prefilter.
 
-The scalar :class:`~repro.cloth.Cloth` is already vectorized per-vertex;
-what remains hot is the pair of ``np.add.at`` scatters in each of the
-eight relaxation iterations and the per-collider projection passes that
-run even when a collider is nowhere near the cloth.  ``step_cloth``
-replicates ``Cloth.step`` with
+``step_cloth`` replicates ``Cloth.step`` with
 
-* the two ``np.add.at`` calls fused into per-component ``np.bincount``
-  over the concatenated endpoint indices — the same accumulation order
-  element by element, so the sums are bit-identical; and
+* all ``Cloth.ITERATIONS`` Jakobsen passes in one call to ``pgs.c``'s
+  ``cloth_relax``, in place on the cloth's own arrays, with the same
+  operations in the same accumulation order as ``Cloth._relax_once``,
+  so the positions are bit-identical (without the native library the
+  cloth's own ``_relax_once`` runs); and
 * a conservative cloth-AABB vs collider-AABB prefilter (expanded by the
   projection margin) that skips colliders whose projection pass would
   have been a no-op anyway.
 
-Everything else — Verlet, pinning, ground contact — calls straight into
-the cloth's own routines.
+The Verlet update and pinning are restated in numpy; the collider and
+ground projections call the cloth's own routines (``_project_box``
+rounds through numpy's ``@``, which a C loop could not promise to
+match).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import solver
 from .broadphase import fill_aabbs
 
 # Cloth's projection skin is 0.01; the prefilter expands by a little
@@ -28,39 +29,31 @@ from .broadphase import fill_aabbs
 # disagree with this conservative AABB test.
 _MARGIN = 0.011
 
+# What ``cloth_relax`` reads the cloth's arrays as: positions, link
+# endpoints, rest lengths, inverse degrees, pinned flags.
+_LAYOUT = (np.float64, np.int64, np.int64, np.float64, np.float64, np.bool_)
 
-def _relax_indices(cloth):
-    """Flattened (vertex*3 + component) bins for one fused bincount.
 
-    Each output bin receives exactly the elements the per-component
-    bincounts fed it, in the same relative order, so the accumulated
-    sums are bit-identical.
+def relax(lib, cloth):
+    """Every relaxation pass of one sub-step, in C.
+
+    ``Cloth`` builds all six arrays C-contiguous and ``restore_state``
+    rebuilds the positions with ``np.array``; a cloth whose arrays have
+    another layout or a vertex count its topology does not index is
+    refused before C reads them.
     """
-    idx = getattr(cloth, "_fastpath_relax_idx3", None)
-    if idx is None or len(idx) != 6 * len(cloth._ci):
-        base = np.concatenate((cloth._ci, cloth._cj))
-        idx = np.repeat(base * 3, 3) + np.tile(np.arange(3), len(base))
-        cloth._fastpath_relax_idx3 = idx
-    return idx
-
-
-def _relax_once(cloth):
     pos = cloth.positions
-    d = pos[cloth._cj] - pos[cloth._ci]
-    lengths = np.sqrt((d * d).sum(axis=1))
-    np.maximum(lengths, 1e-12, out=lengths)
-    corr = d * ((lengths - cloth._rest) / lengths * 0.5)[:, None]
-    m = len(corr)
-    w = np.empty((2 * m, 3))
-    w[:m] = corr
-    np.negative(corr, out=w[m:])
-    idx3 = _relax_indices(cloth)
-    n = len(pos)
-    delta = np.bincount(idx3, weights=w.ravel(),
-                        minlength=3 * n).reshape(n, 3)
-    delta[cloth.pinned] = 0.0
-    delta *= cloth._inv_degree
-    pos += delta
+    arrays = (pos, cloth._ci, cloth._cj, cloth._rest, cloth._inv_degree,
+              cloth.pinned)
+    n, m = len(cloth.pinned), len(cloth._rest)
+    if pos.shape != (n, 3) or not all(
+            a.dtype == t and a.flags.c_contiguous
+            for a, t in zip(arrays, _LAYOUT)):
+        raise TypeError("cloth arrays are not the C-contiguous "
+                        "float64/int64 layout cloth_relax reads")
+    scratch = np.empty(3 * n + m)
+    lib.cloth_relax(*(a.ctypes.data for a in arrays), m, n,
+                    cloth.ITERATIONS, scratch.ctypes.data)
 
 
 def collider_bounds(colliders):
@@ -87,8 +80,12 @@ def step_cloth(cloth, dt: float, gravity, colliders=(), bounds=None):
     cloth.prev_positions = pos
     cloth.positions = new_pos
 
-    for _ in range(cloth.ITERATIONS):
-        _relax_once(cloth)
+    lib = solver._native()
+    if lib is None:
+        for _ in range(cloth.ITERATIONS):
+            cloth._relax_once()
+    else:
+        relax(lib, cloth)
 
     cloth.projection_count = 0
     cloth.contact_bodies = set()

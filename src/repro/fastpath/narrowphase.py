@@ -1,11 +1,12 @@
-"""Vectorized narrowphase pair tests (bit-identical to the scalar ones).
+"""Batched narrowphase pair tests (bit-identical to the scalar ones).
 
 ``collide_pairs`` replaces the world's per-pair phase-2 loop for
-``backend="numpy"``: candidate pairs are grouped by shape-kind, and the
-two kinds that fill enough lanes to pay, sphere/plane and box/plane,
-run as batch kernels restating the scalar formulas
-component-by-component in NumPy.  Every other kind, box/box included,
-goes through the scalar ``collide``.
+``backend="numpy"``: candidate pairs are grouped by shape-kind, and
+three kinds run as batch kernels.  Sphere/plane and box/plane restate
+the scalar formulas component-by-component in NumPy; box/box runs in
+``pgs.c``'s ``box_box``, one call per sub-step, or through the scalar
+``collide`` without the native library.  Every other kind goes
+through ``collide``.
 
 Contacts come out in the scalar loop's exact order: pair order is
 preserved, and within a pair the kernel emits points in the same order
@@ -13,6 +14,8 @@ the scalar routine appends them.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from ..collision.narrowphase import (
 )
 from ..engine.scalar import narrowphase as run_narrowphase
 from ..math3d import Vec3
+from . import solver
 
 
 def _rotate(w, x, y, z, vx, vy, vz):
@@ -126,9 +130,58 @@ def _batch_box_plane(items):
     return out
 
 
+# pgs.c's box_box: doubles per emitted point, and the most points one
+# pair emits (every corner of both boxes).
+_POINT, _MAX_POINTS = 5, 16
+
+
+def box_box(lib, items):
+    """``collide``'s contact lists for box/box pairs, from one C call.
+
+    A pair for which the C SAT picked no axis (only a NaN or infinite
+    pose allows that) goes to ``collide``, which raises on it.
+    """
+    m = len(items)
+    flat = []
+    for ga, gb in items:
+        for g in (ga, gb):
+            tf = g.transform
+            p, q, h = tf.position, tf.orientation, g.shape.half_extents
+            flat += (p.x, p.y, p.z, q.w, q.x, q.y, q.z, h.x, h.y, h.z)
+    pairs = array("d", flat)
+    count = array("i", bytes(4 * m))
+    normal = array("d", bytes(8 * 3 * m))
+    points = array("d", bytes(8 * _POINT * _MAX_POINTS * m))
+    lib.box_box(pairs.buffer_info()[0], m, count.buffer_info()[0],
+                normal.buffer_info()[0], points.buffer_info()[0])
+    out = []
+    for i, (ga, gb) in enumerate(items):
+        k = count[i]
+        if k < 0:
+            out.append(collide(ga, gb))
+            continue
+        n = Vec3(*normal[3 * i:3 * i + 3])
+        start = _POINT * _MAX_POINTS * i
+        found = []
+        for at in range(start, start + _POINT * k, _POINT):
+            x, y, z, depth, feature = points[at:at + _POINT]
+            found.append(Contact(ga, gb, Vec3(x, y, z), n, depth,
+                                 feature=int(feature)))
+        out.append(found)
+    return out
+
+
+def _batch_box_box(items):
+    lib = solver._native()
+    if lib is None:
+        return [collide(ga, gb) for ga, gb in items]
+    return box_box(lib, items)
+
+
 _BATCH_FN = {
     ("sphere", "plane"): _batch_sphere_plane,
     ("box", "plane"): _batch_box_plane,
+    ("box", "box"): _batch_box_box,
 }
 
 

@@ -1,7 +1,9 @@
-/* Packed constraint rows in C: the row builders and the projected
- * Gauss-Seidel sweep, bit-identical to the scalar oracle
- * (repro.dynamics.joints' begin_step + Row.warm_start, then
- * repro.dynamics.solver.solve_island).
+/* The numpy kernel set's C kernels, bit-identical to the scalar
+ * oracle: packed constraint rows (the row builders and the projected
+ * Gauss-Seidel sweep: repro.dynamics.joints' begin_step +
+ * Row.warm_start, then repro.dynamics.solver.solve_island), Jakobsen
+ * cloth relaxation (repro.cloth.Cloth._relax_once) and the box/box pair
+ * test (repro.collision.narrowphase._box_box).
  *
  * Every expression keeps the oracle's association order token for
  * token: sums associate left (a dot product is (x*x' + y*y') + z*z'),
@@ -14,12 +16,13 @@
  *
  * no multiply-add is fused and no sum is reassociated, so each
  * operation rounds once to a double, exactly as a Python float does.
- * repro.fastpath.solver checks that claim on a canary scene, built
- * and swept, before it uses the library, and runs the scalar oracle
- * otherwise.
+ * repro.fastpath.solver checks that claim before it uses the library,
+ * on a canary scene built and swept, a small pinned cloth and three box
+ * pairs, and runs the scalar oracle otherwise.
  */
 
 #include <math.h>
+#include <stdint.h>
 
 /* Body slot layout: 23 doubles per body. */
 enum {
@@ -487,5 +490,238 @@ void pgs_solve(const double *rows, const int *start, int n_islands,
                 active[still++] = isl;
         }
         n_active = still;
+    }
+}
+
+/* Cloth._relax_once, `iterations` times, in place on the cloth's own
+ * arrays: pos (n_vertices x 3), the links' endpoints ci and cj and rest
+ * lengths (n_links each), inv_degree (n_vertices) and the pinned flags.
+ * scratch holds 3 * n_vertices + n_links doubles.
+ *
+ * Each pass reads the positions it starts with (Jacobi): a link's
+ * correction is d * s, where d = pos[cj] - pos[ci] and
+ * s = ((len - rest) / len) * 0.5, with len's squares summed left to
+ * right and floored at 1e-12 as np.maximum floors it (NaN passes
+ * through).  np.add.at accumulates a vertex's corrections into 0.0,
+ * first its ci ones in link order, then its negated cj ones (d * s
+ * computed again from the same positions, so the same bits); a pinned
+ * vertex's delta is zeroed, and every vertex, pinned or not, adds
+ * delta * inv_degree. */
+void cloth_relax(double *pos, const int64_t *ci, const int64_t *cj,
+                 const double *rest, const double *inv_degree,
+                 const unsigned char *pinned, int64_t n_links,
+                 int64_t n_vertices, int iterations, double *scratch)
+{
+    double *delta = scratch, *scale = scratch + 3 * n_vertices;
+
+    for (int it = 0; it < iterations; it++) {
+        for (int64_t v = 0; v < 3 * n_vertices; v++)
+            delta[v] = 0.0;
+        for (int64_t k = 0; k < n_links; k++) {
+            const double *p = pos + 3 * ci[k], *q = pos + 3 * cj[k];
+            double *out = delta + 3 * ci[k];
+            double d[3], len, s;
+
+            for (int j = 0; j < 3; j++)
+                d[j] = q[j] - p[j];
+            len = sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+            if (len < 1e-12)
+                len = 1e-12;
+            s = scale[k] = (len - rest[k]) / len * 0.5;
+            for (int j = 0; j < 3; j++)
+                out[j] += d[j] * s;
+        }
+        for (int64_t k = 0; k < n_links; k++) {
+            const double *p = pos + 3 * ci[k], *q = pos + 3 * cj[k];
+            double *out = delta + 3 * cj[k];
+
+            for (int j = 0; j < 3; j++)
+                out[j] += -((q[j] - p[j]) * scale[k]);
+        }
+        for (int64_t v = 0; v < n_vertices; v++) {
+            double w = inv_degree[v];
+
+            for (int j = 0; j < 3; j++) {
+                double dv = pinned[v] ? 0.0 : delta[3 * v + j];
+                pos[3 * v + j] += dv * w;
+            }
+        }
+    }
+}
+
+/* collision.narrowphase's CONTACT_MARGIN. */
+#define CONTACT_MARGIN 0.002
+
+/* Box/box pair layout: 20 doubles per pair, then per box result. */
+enum {
+    NPAIR = 20,
+    BOX_POS = 0, BOX_QUAT = 3, BOX_HALF = 7,  /* box a; box b at +10 */
+    NBOX = 10,
+    MAX_BOX_CONTACTS = 16,
+    NPOINT = 5                                /* x y z depth feature */
+};
+
+/* Quaternion.to_mat3's columns: the box's local axes in world space. */
+static void box_axes(double axes[3][3], const double *q)
+{
+    double w = q[0], x = q[1], y = q[2], z = q[3];
+    double xx = x * x, yy = y * y, zz = z * z;
+    double xy = x * y, xz = x * z, yz = y * z;
+    double wx = w * x, wy = w * y, wz = w * z;
+
+    axes[0][0] = 1.0 - 2.0 * (yy + zz);
+    axes[0][1] = 2.0 * (xy + wz);
+    axes[0][2] = 2.0 * (xz - wy);
+    axes[1][0] = 2.0 * (xy - wz);
+    axes[1][1] = 1.0 - 2.0 * (xx + zz);
+    axes[1][2] = 2.0 * (yz + wx);
+    axes[2][0] = 2.0 * (xz + wy);
+    axes[2][1] = 2.0 * (yz - wx);
+    axes[2][2] = 1.0 - 2.0 * (xx + yy);
+}
+
+/* _box_extent_along. */
+static double extent_along(double axes[3][3], const double *h,
+                           const double *axis)
+{
+    return fabs(dot(axis, axes[0])) * h[0] + fabs(dot(axis, axes[1])) * h[1]
+        + fabs(dot(axis, axes[2])) * h[2];
+}
+
+/* _point_in_box: p in the box's frame (Transform.apply_inverse) within
+ * half extents plus CONTACT_MARGIN. */
+static int point_in_box(const double *p, const double *box)
+{
+    const double *q = box + BOX_QUAT, *h = box + BOX_HALF;
+    double qc[4] = {q[0], -q[1], -q[2], -q[3]};
+    double rel[3], local[3];
+
+    for (int j = 0; j < 3; j++)
+        rel[j] = p[j] - box[BOX_POS + j];
+    rotate(local, qc, rel);
+    return fabs(local[0]) <= h[0] + CONTACT_MARGIN
+        && fabs(local[1]) <= h[1] + CONTACT_MARGIN
+        && fabs(local[2]) <= h[2] + CONTACT_MARGIN;
+}
+
+/* Box.corners()[i] through Transform.apply: sx outer, sz inner. */
+static void box_corner(double *out, const double *box, int i)
+{
+    const double *h = box + BOX_HALF;
+    double local[3] = {i & 4 ? h[0] : -h[0], i & 2 ? h[1] : -h[1],
+                       i & 1 ? h[2] : -h[2]};
+
+    rotate(out, box + BOX_QUAT, local);
+    for (int j = 0; j < 3; j++)
+        out[j] += box[BOX_POS + j];
+}
+
+static double *put_point(double *out, const double *p, double depth,
+                         int feature)
+{
+    out[0] = p[0];
+    out[1] = p[1];
+    out[2] = p[2];
+    out[3] = depth > 0.0 ? depth : 0.0;    /* max(0.0, depth) */
+    out[4] = feature;
+    return out + NPOINT;
+}
+
+/* collision.narrowphase._box_box for each of n pairs: the SAT over
+ * box a's three axes, box b's three, then each cross product whose
+ * squared length exceeds 1e-12, normalized; the first axis that
+ * separates by more than CONTACT_MARGIN ends the pair, and otherwise
+ * the least overlap (the first on a tie) picks the normal, oriented
+ * from b toward a.  Contacts are a's corners inside b (features 0-7),
+ * b's corners inside a (8-15), or else a's support point toward b
+ * (feature 16).
+ *
+ * Pair i writes count[i] (0 when separated, -1 when no axis was picked,
+ * which only a NaN or infinite pose allows), its normal at
+ * normal[3 * i] and its points at points[NPOINT * MAX_BOX_CONTACTS * i]. */
+void box_box(const double *pairs, int n, int *count, double *normal,
+             double *points)
+{
+    for (int i = 0; i < n; i++) {
+        const double *a = pairs + (long)NPAIR * i, *b = a + NBOX;
+        const double *ha = a + BOX_HALF, *hb = b + BOX_HALF;
+        double *out = points + (long)NPOINT * MAX_BOX_CONTACTS * i;
+        double *start = out, *nrm = normal + 3 * i;
+        double axes_a[3][3], axes_b[3][3], cand[15][3], delta[3];
+        double best_overlap = INFINITY, a_face, b_face, p[3];
+        int n_cand = 6, best = -1, flip = 0, separated = 0;
+
+        box_axes(axes_a, a + BOX_QUAT);
+        box_axes(axes_b, b + BOX_QUAT);
+        for (int j = 0; j < 3; j++) {
+            delta[j] = a[BOX_POS + j] - b[BOX_POS + j];
+            for (int k = 0; k < 3; k++) {
+                cand[j][k] = axes_a[j][k];
+                cand[3 + j][k] = axes_b[j][k];
+            }
+        }
+        for (int u = 0; u < 3; u++)
+            for (int v = 0; v < 3; v++) {
+                double c[3], len;
+
+                cross(c, axes_a[u], axes_b[v]);
+                if (!(dot(c, c) > 1e-12))
+                    continue;
+                len = 1.0 / sqrt(dot(c, c));    /* Vec3.normalized */
+                for (int k = 0; k < 3; k++)
+                    cand[n_cand][k] = c[k] * len;
+                n_cand++;
+            }
+        for (int k = 0; k < n_cand; k++) {
+            double span = extent_along(axes_a, ha, cand[k])
+                + extent_along(axes_b, hb, cand[k]);
+            double dist = dot(cand[k], delta);
+            double overlap = span - fabs(dist);
+
+            if (overlap < -CONTACT_MARGIN) {
+                separated = 1;
+                break;
+            }
+            if (overlap < best_overlap) {
+                best_overlap = overlap;
+                best = k;
+                flip = !(dist >= 0);
+            }
+        }
+        if (separated || best < 0) {
+            count[i] = separated ? 0 : -1;
+            continue;
+        }
+        if (flip)
+            negate(nrm, cand[best]);
+        else
+            for (int k = 0; k < 3; k++)
+                nrm[k] = cand[best][k];
+
+        b_face = dot(nrm, b + BOX_POS) + extent_along(axes_b, hb, nrm);
+        for (int c = 0; c < 8; c++) {
+            box_corner(p, a, c);
+            if (point_in_box(p, b))
+                out = put_point(out, p, b_face - dot(nrm, p), c);
+        }
+        a_face = dot(nrm, a + BOX_POS) - extent_along(axes_a, ha, nrm);
+        for (int c = 0; c < 8; c++) {
+            box_corner(p, b, c);
+            if (point_in_box(p, a))
+                out = put_point(out, p, dot(nrm, p) - a_face, 8 + c);
+        }
+        if (out == start) {
+            for (int k = 0; k < 3; k++)
+                p[k] = a[BOX_POS + k];
+            for (int j = 0; j < 3; j++) {
+                double s = dot(axes_a[j], nrm);
+                double h = s > 0 ? ha[j] : -ha[j];
+
+                for (int k = 0; k < 3; k++)
+                    p[k] = p[k] - axes_a[j][k] * h;
+            }
+            out = put_point(out, p, best_overlap, 16);
+        }
+        count[i] = (int)((out - start) / NPOINT);
     }
 }

@@ -1,6 +1,7 @@
 """Constraint rows built and swept in C, bit-identical to the scalar
 oracle (``begin_step`` + ``Row.warm_start``, then
-:func:`repro.dynamics.solver.solve_island`).
+:func:`repro.dynamics.solver.solve_island`), and the loader of the one
+C library, ``pgs.c``, that also relaxes cloth and tests box/box pairs.
 
 A :class:`PackedRows` lays many islands' rows out in flat
 ``array('d')`` buffers; ``pgs.c`` builds every contact and joint row
@@ -8,10 +9,11 @@ straight into them (:mod:`.rows`, :mod:`.joints`) and runs the
 oracle's sequential sweep over them, with the same operations in the
 same association order.  No ``Row`` object exists on this path.  The
 system ``cc`` builds the library at first use into a per-user cache,
-and it must reproduce the oracle's bits on a canary scene, built and
-swept, before first use.  Otherwise
-:func:`native_status` says why, and the numpy kernel set runs the
-oracle's ``build_rows`` and ``solve`` instead.
+and it must reproduce the oracle's bits before first use: on a canary
+scene, built and swept, on a small pinned cloth's relaxation passes
+and on three box/box pairs.  Otherwise :func:`native_status` says why,
+and the numpy kernel set runs the oracle instead: ``build_rows`` and
+``solve``, ``Cloth._relax_once`` and ``collide``.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _compile(path: str):
 
 def _library():
     """The cached library, compiled first if the cache has none or holds
-    one the loader refuses, with its three entry points typed."""
+    one the loader refuses, with its five entry points typed."""
     path = _library_path()
     if not os.path.exists(path):
         _compile(path)
@@ -203,10 +205,13 @@ def _library():
         _compile(path)
         lib = ctypes.CDLL(path)
     p, i, d = ctypes.c_void_p, ctypes.c_int, ctypes.c_double
+    i64 = ctypes.c_int64
     for name, argtypes in (
             ("pgs_contacts", (p, i, d, d, d, d, p, p, p)),
             ("pgs_joints", (p, i, d, d, p, p, p)),
-            ("pgs_solve", (p, p, i, p, p, i, p, p, p))):
+            ("pgs_solve", (p, p, i, p, p, i, p, p, p)),
+            ("cloth_relax", (p, p, p, p, p, p, i64, i64, i, p)),
+            ("box_box", (p, i, p, p, p))):
         fn = getattr(lib, name)
         fn.restype = None
         fn.argtypes = argtypes
@@ -298,7 +303,8 @@ def _canary_agrees(lib) -> bool:
     """Whether ``pgs_contacts``/``pgs_joints`` reproduce the oracle's
     ``build_rows`` on the canary scene: the same warm-started
     velocities, and after the sweep the same impulses on every
-    constraint and the same body velocities."""
+    constraint and the same body velocities; and whether the cloth and
+    box/box kernels agree with theirs."""
     from ..engine import scalar
     from . import joints, rows
 
@@ -334,7 +340,70 @@ def _canary_agrees(lib) -> bool:
         return pack, [c.hex() for o in at for c in pack.slots[o:o + 6]]
 
     return (run(native, lambda pack: pack.solve(20))
-            == run(oracle, lambda built: scalar.solve(built, 20)))
+            == run(oracle, lambda built: scalar.solve(built, 20))
+            and _cloth_agrees(lib) and _box_box_agrees(lib))
+
+
+def _cloth_agrees(lib) -> bool:
+    """Whether ``cloth_relax`` leaves a small, noisy cloth with its top
+    row pinned byte for byte where ``Cloth._relax_once`` does, one of
+    its links shrunk to zero length so the 1e-12 floor is taken."""
+    import numpy as np
+
+    from ..cloth import Cloth
+    from . import cloth as fp_cloth
+
+    def noisy():
+        cloth = Cloth(4, 3, 0.1, Vec3(0.0, 2.0, 0.0), pin_top_row=True)
+        k = np.arange(cloth.positions.size, dtype=np.float64)
+        cloth.positions += 0.031 * np.sin(1.7 * k).reshape(-1, 3)
+        cloth.positions[5] = cloth.positions[4]
+        return cloth
+
+    oracle, native = noisy(), noisy()
+    for _ in range(oracle.ITERATIONS):
+        oracle._relax_once()
+    fp_cloth.relax(lib, native)
+    return oracle.positions.tobytes() == native.positions.tobytes()
+
+
+def _canary_boxes():
+    """Three box pairs: a face contact, an edge-edge contact (feature
+    16) and a separated pair."""
+    from ..geometry import Box
+    from ..math3d import Transform
+
+    def box(position, axis, angle, half):
+        # A Geom would draw a uid; _box_box reads only these two.
+        return SimpleNamespace(
+            shape=Box(Vec3(*half)),
+            transform=Transform(Vec3(*position), Quaternion.from_axis_angle(
+                Vec3(*axis), angle)))
+
+    return [
+        (box((0.05, 0.93, -0.02), (0.2, 1.0, 0.1), 0.3, (0.5, 0.45, 0.4)),
+         box((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.1, (1.0, 0.5, 0.8))),
+        (box((0.03, 1.4, -0.02), (1.0, 0.0, 0.0), 0.785, (0.5, 0.5, 0.5)),
+         box((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.785, (0.5, 0.5, 0.5))),
+        (box((2.5, 0.3, 0.0), (0.3, 0.2, 1.0), 0.7, (0.5, 0.4, 0.3)),
+         box((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.2, (0.6, 0.5, 0.4))),
+    ]
+
+
+def _box_box_agrees(lib) -> bool:
+    """Whether ``box_box`` gives ``_box_box``'s contacts, bit for bit, on
+    the canary's box pairs."""
+    from ..collision.narrowphase import _box_box
+    from . import narrowphase
+
+    def bits(contacts):
+        return [(c.feature, *(x.hex() for x in (
+            c.position.x, c.position.y, c.position.z, c.normal.x,
+            c.normal.y, c.normal.z, c.depth))) for c in contacts]
+
+    pairs = _canary_boxes()
+    return ([bits(found) for found in narrowphase.box_box(lib, pairs)]
+            == [bits(_box_box(a, b)) for a, b in pairs])
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,7 +418,7 @@ def _load():
         reason = str(exc)
     import logging  # here, like subprocess in _compile
     logging.getLogger("repro.fastpath").warning(
-        "native row kernels unavailable (%s); using the oracle", reason)
+        "native kernels unavailable (%s); using the oracle", reason)
     return None, reason
 
 
@@ -359,8 +428,9 @@ def _native():
 
 
 def native_status() -> str:
-    """``"native"`` when the numpy kernel set builds and solves rows in
-    C, else ``"fallback: <reason>"``."""
+    """``"native"`` when the numpy kernel set builds and solves rows,
+    relaxes cloth and tests box/box pairs in C, else
+    ``"fallback: <reason>"``."""
     if _native() is None:
         return "fallback: " + (_load()[1] or "disabled")
     return "native"

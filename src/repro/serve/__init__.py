@@ -32,7 +32,7 @@ Served-fleet performance is the ``fleet_serve`` workload of
 
 from .metrics import (FrameTimeHistogram, ShardMetrics,
                       merge_snapshots)
-from .protocol import (BackpressureError, ServeError,
+from .protocol import (BackpressureError, BadRequestError, ServeError,
                        SessionExistsError, ShardDownError,
                        ShardTimeoutError, UnknownSessionError,
                        UnknownVerbError, WorkerError)
@@ -55,4 +55,5 @@ __all__ = [
     "ShardTimeoutError",
     "ShardDownError",
     "WorkerError",
+    "BadRequestError",
 ]

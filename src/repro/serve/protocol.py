@@ -52,6 +52,12 @@ class WorkerError(ServeError):
     the original type and text."""
 
 
+class BadRequestError(ServeError, ValueError):
+    """The service refused the request before any shard saw it: a
+    ``shard_id`` on a verb routed by session, or a shard out of range.
+    Also a ``ValueError``, which in-process callers catch."""
+
+
 #: Error-type registry: wire name -> exception class. Replies carry the
 #: name; clients map it back through this table (unknown names decode
 #: as :class:`WorkerError` so protocol drift degrades, not crashes).

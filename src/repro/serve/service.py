@@ -154,8 +154,8 @@ class SimService:
                     f"verb {verb!r} requires a session_id")
             shard_id = self.shard_of(session_id)
         if not 0 <= shard_id < self.n_shards:
-            raise ValueError(f"shard {shard_id} out of range "
-                             f"[0, {self.n_shards})")
+            raise protocol.BadRequestError(
+                f"shard {shard_id} out of range [0, {self.n_shards})")
         if not self._procs[shard_id].is_alive():
             raise protocol.ShardDownError(
                 f"shard {shard_id} process has exited")
@@ -189,8 +189,9 @@ class SimService:
         """
         if (shard_id is not None and verb != "restore"
                 and verb in protocol.SESSION_VERBS):
-            raise ValueError(f"verb {verb!r} is routed by session_id;"
-                             f" only 'restore' takes a shard_id")
+            raise protocol.BadRequestError(
+                f"verb {verb!r} is routed by session_id; only 'restore'"
+                f" takes a shard_id")
         req_id, future = self.submit(shard_id, verb, session_id, **args)
         try:
             reply = await asyncio.wait_for(asyncio.wrap_future(future),

@@ -66,7 +66,7 @@ def pgs_path():
         if path == "native":
             status = solver.native_status()
             assert status == "native", (
-                f"the native row kernels are not loaded ({status}); the "
+                f"the native kernels are not loaded ({status}); the "
                 "'native' path would silently re-run the scalar fallback")
             yield
         else:

@@ -33,18 +33,23 @@ FRAMES = int(os.environ.get("REPRO_DIFF_FRAMES", "60"))
 
 
 def _run(name, backend, frames=FRAMES, scale=SCALE, seed=0):
-    """``(recorder, world, reports)`` of one recorded run, the reports
-    as :func:`_report_key` data."""
+    """``(recorder, world, reports, cloths)`` of one recorded run, the
+    reports as :func:`_report_key` data.  The recorder reads only
+    bodies, so ``cloths`` holds every cloth's vertex bytes (positions,
+    then previous positions) after every frame."""
     world, driver = BENCHMARKS[name].build(scale=scale, seed=seed,
                                            backend=backend)
     assert world.backend == backend
     rec = TrajectoryRecorder(world)
     rec.snapshot()
     reports = []
+    cloths = []
     for _ in range(frames):
         reports.append(world.step_frame(driver))
         rec.snapshot()
-    return rec, world, [_report_key(world, r) for r in reports]
+        cloths.append([(c.positions.tobytes(), c.prev_positions.tobytes())
+                       for c in world.cloths])
+    return rec, world, [_report_key(world, r) for r in reports], cloths
 
 
 # Body and geom uids are allocated from process-global counters, so two
@@ -89,14 +94,17 @@ def _island_key(world):
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_backend_trajectories_bit_identical(name, pgs_path):
-    rec_s, world_s, reports_s = _run(name, "scalar")
+    rec_s, world_s, reports_s, cloths_s = _run(name, "scalar")
     for path in ("native", "fallback"):
         with pgs_path(path):
-            rec_n, world_n, reports_n = _run(name, "numpy")
+            rec_n, world_n, reports_n, cloths_n = _run(name, "numpy")
         div = trajectory_divergence(rec_s, rec_n)
         assert div == 0.0, f"{name} ({path}): backends diverged by {div}"
         _assert_residuals_match(world_s, world_n)
         _assert_reports_match(reports_s, reports_n, f"{name} ({path})")
+        for frame, (want, got) in enumerate(zip(cloths_s, cloths_n)):
+            assert got == want, (
+                f"{name} ({path}): frame {frame} cloth vertices differ")
 
 
 def _assert_residuals_match(world_s, world_n):

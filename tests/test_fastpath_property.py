@@ -98,9 +98,9 @@ def test_sap_pairs_match_brute_force(specs, moves):
 
 # -- narrowphase --------------------------------------------------------
 
-# The batched kinds, plus box/box, which takes ``collide`` inside
+# The batched kinds, plus sphere/box, which takes ``collide`` inside
 # ``_test_batched``, so every group is mixed with unbatched pairs.
-_PAIR_KINDS = tuple(_BATCH_FN) + (("box", "box"),)
+_PAIR_KINDS = tuple(_BATCH_FN) + (("sphere", "box"),)
 
 
 def _random_geom(rng, kind):
@@ -133,10 +133,11 @@ def _contact_bits(contacts):
 @RELAXED
 @given(seed=st.integers(0, 2**31 - 1),
        sizes=st.tuples(*[st.integers(1, 6)] * len(_PAIR_KINDS)))
-def test_batched_pair_tests_match_collide(seed, sizes):
+def test_batched_pair_tests_match_collide(pgs_path, seed, sizes):
     """Every pair, batched kind or not, in groups of 1-6 and in either
     argument order, gets ``collide``'s contact list: same contacts in
-    the same order, floats equal to the last bit."""
+    the same order, floats equal to the last bit, with box/box in C or
+    on the fallback."""
     rng = random.Random(seed)
     pairs = []
     for (ka, kb), n in zip(_PAIR_KINDS, sizes):
@@ -144,8 +145,69 @@ def test_batched_pair_tests_match_collide(seed, sizes):
             pair = (_random_geom(rng, ka), _random_geom(rng, kb))
             pairs.append(pair[::-1] if rng.random() < 0.5 else pair)
     rng.shuffle(pairs)
-    got = [_contact_bits(found) for found in _test_batched(pairs)]
     want = [_contact_bits(collide(ga, gb)) for ga, gb in pairs]
+    for path in ("native", "fallback"):
+        with pgs_path(path):
+            got = [_contact_bits(found) for found in _test_batched(pairs)]
+        assert got == want, path
+
+
+_angle = st.floats(-math.pi, math.pi, allow_nan=False)
+_axis = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 2,
+                  st.floats(0.1, 1.0, allow_nan=False))
+_half = st.tuples(*[st.floats(0.1, 1.0, allow_nan=False)] * 3)
+_offset = st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3)
+
+
+def _box_geom(position, orientation, half):
+    return Geom(Box(Vec3(*half)),
+                body=Body(position=Vec3(*position), orientation=orientation))
+
+
+@st.composite
+def _box_pairs(draw):
+    """Two posed boxes, drawn one of four ways: free poses; b turned a
+    hair (near 1e-6 rad) off a, so the axis cross products straddle
+    ``_box_box``'s 1e-12 cut; two cubes turned 45 degrees about
+    crossed axes and stacked so their edges meet (feature 16); or two
+    boxes far apart."""
+    how = draw(st.sampled_from(("free", "near_parallel", "edge", "far")))
+    qa = Quaternion.from_axis_angle(Vec3(*draw(_axis)), draw(_angle))
+    half_a, half_b = draw(_half), draw(_half)
+    pos_a, pos_b = draw(_offset), draw(_offset)
+    if how == "free":
+        qb = Quaternion.from_axis_angle(Vec3(*draw(_axis)), draw(_angle))
+    elif how == "near_parallel":
+        tilt = draw(st.floats(3e-7, 3e-6, allow_nan=False))
+        qb = (Quaternion.from_axis_angle(Vec3(*draw(_axis)), tilt) * qa
+              ).normalized()
+    elif how == "edge":
+        s = draw(st.floats(0.2, 0.8, allow_nan=False))
+        half_a = half_b = (s, s, s)
+        qa = Quaternion.from_axis_angle(Vec3(1.0, 0.0, 0.0), 0.785)
+        qb = Quaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), 0.785)
+        gap = draw(st.floats(-0.1, 0.05, allow_nan=False))
+        jitter = draw(st.tuples(*[st.floats(-0.05, 0.05,
+                                            allow_nan=False)] * 2))
+        pos_b = (0.0, 0.0, 0.0)
+        pos_a = (jitter[0], 2.0 * s * math.sqrt(2.0) + gap, jitter[1])
+    else:
+        qb = Quaternion.from_axis_angle(Vec3(*draw(_axis)), draw(_angle))
+        pos_a = (pos_a[0] + 5.0, pos_a[1], pos_a[2])
+    return _box_geom(pos_a, qa, half_a), _box_geom(pos_b, qb, half_b)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pairs=st.lists(_box_pairs(), min_size=1, max_size=6))
+def test_native_box_box_matches_collide(pgs_path, pairs):
+    """``pgs.c``'s ``box_box`` gives ``collide``'s box/box contacts in
+    both argument orders: the same features in the same order, and
+    positions, normals and depths equal as ``float.hex``."""
+    pairs = pairs + [(gb, ga) for ga, gb in pairs]
+    want = [_contact_bits(collide(ga, gb)) for ga, gb in pairs]
+    with pgs_path("native"):
+        got = [_contact_bits(found) for found in _test_batched(pairs)]
     assert got == want
 
 
@@ -502,15 +564,34 @@ def test_cloth_relaxation_residual_non_increasing(nx, ny, spacing,
 @given(nx=st.integers(2, 7), ny=st.integers(2, 7),
        spacing=st.floats(0.1, 0.5, allow_nan=False),
        seed=st.integers(0, 2**31 - 1), pin=st.booleans())
-def test_fastpath_cloth_step_bit_identical(nx, ny, spacing, seed, pin):
-    """fastpath.step_cloth reproduces Cloth.step to the last bit."""
-    a = _noisy_cloth(nx, ny, spacing, seed, pin)
-    b = _noisy_cloth(nx, ny, spacing, seed, pin)
-    a.ground_height = b.ground_height = 1.0
+def test_fastpath_cloth_step_bit_identical(pgs_path, nx, ny, spacing,
+                                           seed, pin):
+    """fastpath.step_cloth reproduces Cloth.step to the last bit, with
+    its relaxation in C or on the fallback, and with a sphere and a
+    box collider overlapping the cloth, so both projections run on the
+    relaxed positions."""
+    width, height = (nx - 1) * spacing, (ny - 1) * spacing
+    colliders = [
+        Geom(Sphere(0.3 * width + 0.05),
+             body=Body(position=Vec3(0.5 * width, 2.0 - 0.5 * height,
+                                     0.05))),
+        Geom(Box(Vec3(0.3 * width + 0.05, 0.2 * height + 0.05, 0.1)),
+             body=Body(position=Vec3(0.4 * width, 2.0 - 0.7 * height,
+                                     -0.02),
+                       orientation=Quaternion.from_axis_angle(
+                           Vec3(0.3, 0.2, 1.0), 0.4))),
+    ]
     gravity = Vec3(0.0, -9.81, 0.0)
-    for _ in range(3):
-        stats_a = a.step(1.0 / 240.0, gravity)
-        stats_b = fp_cloth.step_cloth(b, 1.0 / 240.0, gravity)
-        assert stats_a == stats_b
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.prev_positions, b.prev_positions)
+    for path in ("native", "fallback"):
+        a = _noisy_cloth(nx, ny, spacing, seed, pin)
+        b = _noisy_cloth(nx, ny, spacing, seed, pin)
+        a.ground_height = b.ground_height = 1.0
+        for _ in range(3):
+            stats_a = a.step(1.0 / 240.0, gravity, colliders)
+            with pgs_path(path):
+                stats_b = fp_cloth.step_cloth(b, 1.0 / 240.0, gravity,
+                                              colliders)
+            assert stats_a == stats_b, path
+            assert a.positions.tobytes() == b.positions.tobytes(), path
+            assert (a.prev_positions.tobytes()
+                    == b.prev_positions.tobytes()), path

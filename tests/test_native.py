@@ -1,8 +1,9 @@
-"""The native row kernels' loader: cache, rebuild, races and fallback.
+"""The native kernels' loader: cache, rebuild, races and fallback.
 
 ``repro.fastpath.solver`` compiles ``pgs.c`` at first use into
-``$XDG_CACHE_HOME/repro`` and checks its row builders and its sweep on
-a canary scene before use.
+``$XDG_CACHE_HOME/repro`` and, before use, checks its row builders and
+its sweep on a canary scene, its cloth relaxation on a small pinned
+cloth and its box/box test on three box pairs.
 Each test points the cache at its own empty directory and clears the
 loader's memo on both sides, so the rest of the suite keeps the kernel
 the process loaded first.
@@ -59,6 +60,33 @@ def test_changed_source_compiles_a_new_library(cold_cache, tmp_path,
     solver._load.cache_clear()
     assert solver.native_status() == "native"
     assert len(_libraries(cold_cache)) == 2
+
+
+@needs_cc
+@pytest.mark.parametrize("original, mutant", [
+    (b"/ len * 0.5;", b"/ len * 0.4999;"),
+    (b"best_overlap, 16);", b"best_overlap * 0.5, 16);"),
+], ids=["cloth_relax", "box_box"])
+def test_mutated_kernel_is_refused(cold_cache, tmp_path, monkeypatch,
+                                   original, mutant):
+    """A library whose cloth or box/box kernel no longer matches the
+    oracle compiles and loads, but the canary refuses it."""
+    source = solver._SOURCE.read_bytes()
+    assert source.count(original) == 1
+    edited = tmp_path / "pgs.c"
+    edited.write_bytes(source.replace(original, mutant))
+    monkeypatch.setattr(solver, "_SOURCE", edited)
+    assert solver.native_status().startswith("fallback: canary")
+    assert len(_libraries(cold_cache)) == 1
+
+
+def test_canary_boxes_cover_face_edge_and_separated():
+    from repro.collision.narrowphase import _box_box
+
+    face, edge, apart = [_box_box(a, b) for a, b in solver._canary_boxes()]
+    assert face and all(c.feature < 8 for c in face)
+    assert [c.feature for c in edge] == [16]
+    assert apart == []
 
 
 @needs_cc

@@ -73,6 +73,11 @@ class TestRouting:
             with pytest.raises(ValueError, match="out of range"):
                 await service.restore_session("y", payload, 5)
             assert service.overrides == {}
+            reply = await service.handle_message(
+                {"req_id": 4, "verb": "restore", "session_id": "y",
+                 "args": {"payload": payload, "shard_id": 5}})
+            assert reply["error"]["type"] == "BadRequestError"
+            assert service.overrides == {}
 
         serve(scenario, n_shards=2)
 
@@ -90,7 +95,7 @@ class TestRouting:
                 {"req_id": 3, "verb": "create", "session_id": sid,
                  "args": args})
             assert reply["ok"] is False and reply["req_id"] == 3
-            assert reply["error"]["type"] == "WorkerError"
+            assert reply["error"]["type"] == "BadRequestError"
             assert "only 'restore'" in reply["error"]["message"]
             assert service._pending == {}
             with pytest.raises(UnknownSessionError):
