@@ -17,6 +17,8 @@ class Body:
 
     def __init__(self, position: Vec3 = None, orientation: Quaternion = None,
                  mass: float = 1.0):
+        # tests/test_resilience.py classifies every attribute as
+        # restored by a WorldSnapshot, verified or excluded from it.
         self.position = position if position is not None else Vec3()
         self.orientation = (orientation if orientation is not None
                             else Quaternion.identity())
@@ -30,18 +32,12 @@ class Body:
         self.gravity_scale = 1.0
         # World-assigned dense index; uid is a global creation counter so
         # bodies order deterministically even before attachment.
-        # pax: ignore[PAX201]: structural slot in world.bodies; restore
-        # matches bodies positionally, so index never changes under it.
         self.index = -1
-        # pax: ignore[PAX201]: snapshotted, and *verified* (never
-        # overwritten) by WorldSnapshot.restore's uid match check.
         self.uid = Body._next_uid
         Body._next_uid += 1
 
         self.set_mass(mass, Mat3.diagonal(0.4 * mass, 0.4 * mass,
                                           0.4 * mass))
-        # pax: ignore[PAX201]: derived cache (R I^-1 R^T), invalidated
-        # on every pose write and lazily rebuilt; never authoritative.
         self._inv_inertia_world = None
 
     def __repr__(self):

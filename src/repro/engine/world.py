@@ -86,21 +86,15 @@ class WorldConfig:
 
 class World:
     def __init__(self, config: WorldConfig = None, backend: str = None):
-        # pax: ignore[PAX201]: construction-time tunables; a snapshot
-        # only restores into the same (or identically built) scene.
+        # tests/test_resilience.py classifies every attribute as
+        # restored by a WorldSnapshot or excluded from it, with a reason.
         self.config = config if config is not None else WorldConfig()
         # ``backend`` names the kernel set every phase of ``step`` runs
         # on: ``"scalar"`` is the per-object reference in
         # ``engine.scalar``, ``"numpy"`` the bit-identical SoA kernels
         # of ``repro.fastpath``.  ``None`` defers to $REPRO_BACKEND.
-        # pax: ignore[PAX201]: structural choice fixed at construction;
-        # both backends replay snapshots bit-identically by contract.
         self.backend = resolve_backend(backend)
-        # pax: ignore[PAX201]: construction-time structure, derived
-        # from ``backend`` above and never rebound.
         self.kernels = _KERNELS[self.backend]
-        # pax: ignore[PAX201]: sort order re-converges from geom
-        # AABBs in one sweep; proven by the restore replay tests.
         self.broadphase = self.kernels.make_broadphase(
             self.config.broadphase)
         self.bodies = []
@@ -108,8 +102,6 @@ class World:
         self.joints = []
         self.cloths = []
         self.explosions = []
-        # pax: ignore[PAX201]: live view of _prefracture_registry
-        # (which is captured); restore rebuilds it from the registry.
         self.prefractured = []
         # Every prefractured entry ever registered; ``prefractured``
         # holds only the untriggered ones (spent entries are pruned from
@@ -119,8 +111,6 @@ class World:
         # Stateful scene actors (cannons, ...) that must roll back with
         # the world for checkpoint/restore to replay bit-identically.
         self.actors = []
-        # pax: ignore[PAX201]: per-frame scratch; step_frame() installs
-        # a fresh FrameReport before any step reads it.
         self.report = None
         self.frame_index = 0
         self.step_index = 0
@@ -131,13 +121,9 @@ class World:
         # Per-step health signals read by repro.resilience.StepWatchdog.
         # Each is fully overwritten by the next step before any read,
         # so a restored world regenerates them on its first step.
-        # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_max_penetration = 0.0
-        # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_penetration_uids = ()
-        # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_island_residuals = []  # [(residual, [body uids])]
-        # pax: ignore[PAX201]: per-step watchdog scratch (see above)
         self.last_blast_bodies = 0  # bodies pushed by explosions
 
     # -- construction ---------------------------------------------------

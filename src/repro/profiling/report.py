@@ -77,7 +77,6 @@ class FrameReport:
     def __init__(self, frame_index: int = 0):
         self.frame_index = frame_index
         self.phases = {phase: PhaseCounters() for phase in PHASES}
-        self.tasks = {phase: [] for phase in PARALLEL_PHASES}
         # Task costs bucketed per sub-step (barriers between sub-steps
         # matter for scheduling), and per-step memory-touch traces
         # ({phase: [TouchGroup, ...]} per sub-step) for the cache models.
@@ -90,6 +89,13 @@ class FrameReport:
 
     def __contains__(self, phase: str) -> bool:
         return phase in self.phases
+
+    @property
+    def tasks(self) -> dict:
+        """Each parallel phase's task costs over the whole frame: its
+        ``step_tasks`` buckets, flattened in order."""
+        return {phase: [cost for step in steps for cost in step]
+                for phase, steps in self.step_tasks.items()}
 
     def count(self, phase: str, **amounts):
         counters = self.phases[phase]
@@ -106,15 +112,12 @@ class FrameReport:
         return buckets[-1]
 
     def add_task(self, phase: str, cost: float):
-        cost = float(cost)
-        self.tasks[phase].append(cost)
-        self._step_bucket(self.step_tasks[phase]).append(cost)
+        self._step_bucket(self.step_tasks[phase]).append(float(cost))
 
     def add_tasks(self, phase: str, costs):
-        """Bulk ``add_task``: same lists, one bucket lookup."""
-        costs = [float(c) for c in costs]
-        self.tasks[phase].extend(costs)
-        self._step_bucket(self.step_tasks[phase]).extend(costs)
+        """Bulk ``add_task``: one bucket lookup."""
+        self._step_bucket(self.step_tasks[phase]).extend(
+            [float(c) for c in costs])
 
     def touch(self, phase: str, kind: str, ids, repeat: int = 1,
               writes: bool = False):
@@ -156,7 +159,6 @@ def mean_report(reports) -> FrameReport:
     # Task lists and touch traces come from the last (warmed-up) frame:
     # averaging task *costs* across frames would change the task count.
     for phase in PARALLEL_PHASES:
-        out.tasks[phase] = list(reports[-1].tasks[phase])
         out.step_tasks[phase] = [list(ts)
                                  for ts in reports[-1].step_tasks[phase]]
     out.step_touches = [list(step) for step in reports[-1].step_touches]

@@ -29,12 +29,8 @@ def phase_cg_speedup(report, phase: str, cores: int) -> float:
     """
     if cores < 1:
         raise ValueError("cores must be >= 1")
-    step_lists = report.step_tasks.get(phase)
-    if not step_lists:
-        tasks = report.tasks.get(phase, [])
-        step_lists = [tasks] if tasks else []
     worst = None
-    for tasks in step_lists:
+    for tasks in report.step_tasks.get(phase, ()):
         if not tasks:
             continue
         s = sum(tasks) / phase_schedule_length(tasks, cores)

@@ -287,6 +287,11 @@ class SimService:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=SHUTDOWN_TIMEOUT)
+        # A worker killed while it held a queue's write lock leaves that
+        # queue's feeder thread blocked for good, and interpreter exit
+        # joins feeder threads: let exit skip them.
+        for box in (*self._inboxes, self._outbox):
+            box.cancel_join_thread()
         self._outbox.put(None)  # unblock the reader thread
         self._reader.join(timeout=SHUTDOWN_TIMEOUT)
         with self._lock:

@@ -6,6 +6,8 @@ import asyncio
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -786,3 +788,24 @@ class TestService:
         assert reply["error"]["type"] == "WorkerError"
         assert "1024 bytes" in reply["error"]["message"]
         assert rest == b""  # the server hung up
+
+    def test_exit_after_a_shard_died_holding_the_reply_lock(self):
+        """A worker killed while it held the outbox's write lock leaves
+        the parent's feeder thread blocked on that lock for good; the
+        interpreter must still exit once the service is closed.  The
+        parent takes the lock itself, standing in for the dead worker."""
+        script = (
+            "import asyncio\n"
+            "from repro.serve import SimService, service\n"
+            "service.SHUTDOWN_TIMEOUT = 0.5\n"
+            "async def main():\n"
+            "    svc = SimService.start(n_shards=1)\n"
+            "    svc._outbox._wlock.acquire()\n"
+            "    await svc.close()\n"
+            "asyncio.run(main())\n")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            service_module.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              timeout=30)
+        assert done.returncode == 0

@@ -3,7 +3,8 @@
 Runs each path in :func:`user_paths` under a ``sys.setprofile`` hook (installed in every process,
 bench children and shard workers too, by a ``sitecustomize.py``) and lists each ``def`` never
 called and each literal default never given another value.  Exits 1 on one that no fnmatch
-pattern in ``tools/census_allow.txt`` covers; allowlisted names that were reached are reported."""
+pattern in ``tools/census_allow.txt`` covers, or on a pattern that matches no function or
+``name(param)`` under ``src/repro`` (``STALE:``); allowlisted names that were reached are reported."""
 import ast, concurrent.futures, contextlib, fnmatch, glob, json, os, re, subprocess, sys, tempfile  # noqa: E401
 from pathlib import Path
 
@@ -89,11 +90,14 @@ def main():
           " of called functions never took another value")
     names = sorted(d["name"] for d in unreached) + sorted(single)
     allow = [ln.split()[0] for ln in (ROOT / "tools/census_allow.txt").open() if ln.split() and ln[0] != "#"]
-    for pattern in (p for p in allow if not fnmatch.filter(names, p)):
+    known = [d["name"] for d in defs.values()] + [f"{d['name']}({p})" for d in defs.values() for p in d["params"]]
+    stale = [p for p in allow if not fnmatch.filter(known, p)]
+    for pattern in (p for p in allow if p not in stale and not fnmatch.filter(names, p)):
         print(f"reached, but allowlisted: {pattern}")
     failed = [n for n in names if not any(fnmatch.fnmatchcase(n, p) for p in allow)]
+    print("".join(f"STALE: {p} matches no function or parameter\n" for p in stale), end="")
     print("".join(f"NOT ALLOWED: {name}\n" for name in failed), end="")
-    return 1 if failed else 0
+    return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":
